@@ -14,11 +14,10 @@ use crate::layout::Layout;
 use crate::machine::Machine;
 use racer_isa::{Asm, MemOperand, Program};
 use racer_mem::Addr;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic "website": a deterministic workload touching `lines`
 /// distinct cache lines chosen by `seed`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Website {
     /// Display name.
     pub name: String,

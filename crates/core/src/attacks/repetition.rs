@@ -14,10 +14,9 @@ use crate::machine::Machine;
 use crate::path::{emit_sync_head, PathSpec};
 use racer_isa::{Asm, MemOperand, Program};
 use racer_mem::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one repetition-gadget run.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct RepetitionConfig {
     /// Flush→load→reload iterations.
     pub iterations: usize,
@@ -48,7 +47,7 @@ impl Default for RepetitionConfig {
 }
 
 /// Cycle totals per stage across all iterations (the Figure 7 stack bars).
-#[derive(Copy, Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct StageBreakdown {
     /// Victim-load stage cycles.
     pub load: u64,

@@ -24,10 +24,9 @@ use crate::path::{emit_sync_head, PathSpec};
 use racer_isa::{AluOp, Asm, Cond, MemOperand, Program};
 use racer_mem::Addr;
 use racer_time::Timer;
-use serde::{Deserialize, Serialize};
 
 /// Result of leaking an exponent.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExponentLeak {
     /// Recovered bits, most significant first.
     pub bits: Vec<bool>,

@@ -19,10 +19,9 @@ use crate::path::{emit_sync_head, PathSpec};
 use racer_isa::{Asm, Cond, MemOperand, Program};
 use racer_mem::Addr;
 use racer_time::Timer;
-use serde::{Deserialize, Serialize};
 
 /// Result of leaking a run of secret bytes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LeakReport {
     /// The recovered bytes.
     pub recovered: Vec<u8>,

@@ -16,7 +16,6 @@ use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::{Asm, Cond, MemOperand, Program};
 use racer_mem::Addr;
 use racer_time::Timer;
-use serde::{Deserialize, Serialize};
 
 pub use crate::attacks::spectre_back::LeakReport;
 
@@ -33,7 +32,7 @@ pub struct SpectreV1 {
 }
 
 /// Gadget inputs on distinct lines of the x-flag region.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 struct Cells {
     x: u64,
     k: u64,

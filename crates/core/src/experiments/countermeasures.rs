@@ -11,10 +11,9 @@ use crate::path::PathSpec;
 use crate::racing::{ReorderRace, TransientPaRace};
 use racer_cpu::Countermeasure;
 use racer_mem::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of probing one gadget under one defence.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CountermeasureRow {
     /// The defence mode.
     pub countermeasure: String,

@@ -15,11 +15,10 @@ use crate::path::PathSpec;
 use crate::racing::TransientPaRace;
 use racer_cpu::RunResult;
 use racer_isa::{Asm, Cond, MemOperand};
-use serde::{Deserialize, Serialize};
 
 /// Counter-derived features of one program run (what a hardware detector
 /// could see).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CounterProfile {
     /// Workload label.
     pub name: String,

@@ -8,10 +8,9 @@ use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
 use racer_time::stats::{best_threshold, overlap_coefficient, Summary};
-use serde::{Deserialize, Serialize};
 
 /// The two sampled distributions plus separation metrics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DistributionResult {
     /// Observed milliseconds per transmit-1 trial (A inserted before B).
     pub transmit1_ms: Vec<f64>,
@@ -33,8 +32,8 @@ pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
 /// [`figure10`] with an explicit [`TrialPath`], additionally returning
 /// the total instructions the heavy magnifier runs committed (the work
 /// metric of the `scenario-e2e` perf rows). Both paths are
-/// bit-identical; they run the same trial grid, the batched path through
-/// one shared-program lockstep fan-out instead of one machine at a time.
+/// bit-identical; they run the same trial grid, the batched path as one
+/// shared-program fork fan-out instead of one machine at a time.
 pub fn figure10_on(trials: usize, rounds: usize, path: TrialPath) -> (DistributionResult, u64) {
     let mut transmit1_ms = Vec::with_capacity(trials);
     let mut transmit0_ms = Vec::with_capacity(trials);
@@ -57,8 +56,8 @@ pub fn figure10_on(trials: usize, rounds: usize, path: TrialPath) -> (Distributi
         TrialPath::Batched => {
             // The magnifier program depends only on rounds and L1
             // geometry — identical across every noisy machine — so all
-            // trials×2 lanes share one program (assembled and decoded
-            // once) and fan out through the lockstep engine.
+            // trials×2 lanes share one program (assembled once) and fan
+            // out as forks across host cores.
             let mut machines = Vec::with_capacity(trials * 2);
             for t in 0..trials {
                 for a_first in [true, false] {

@@ -18,58 +18,36 @@
 //! versions while the `racer-bench` binaries run paper-scale sweeps.
 
 use crate::machine::Machine;
-use racer_cpu::batch::{max_threads, par_map};
-use racer_cpu::RunResult;
+use racer_cpu::batch::par_map;
+use racer_cpu::{Backend, RunResult};
 use racer_isa::Program;
 
 /// Which execution strategy carries an experiment's heavy trial runs.
 ///
 /// Both paths are bit-identical in every simulated observable (pinned by
-/// the engine differential suites and per-experiment equality tests);
-/// they differ only in wall-clock cost. [`TrialPath::Batched`] is the
-/// default everywhere; [`TrialPath::PerMachine`] survives as the
-/// reference arm of the `scenario-e2e` perf rows.
+/// the per-experiment equality tests); they differ only in wall-clock
+/// cost. [`TrialPath::Batched`] is the default everywhere;
+/// [`TrialPath::PerMachine`] survives as the reference arm of the
+/// `scenario-e2e` perf rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialPath {
-    /// Fork every prepared trial machine into lockstep batches — ordered
-    /// chunks across host cores, lanes sharing decode tables within each
-    /// chunk ([`Machine::sweep`] over [`run_lanes_batched`]).
+    /// Prepare every trial machine up front, share timer-independent
+    /// heavy runs across the timer axis, and fan the trial runs out as
+    /// forks across host cores ([`run_lanes_batched`]).
     Batched,
     /// One machine per trial cell, run to completion immediately — the
     /// pre-batch pipeline shape.
     PerMachine,
 }
 
-/// Most lanes one lockstep batch takes: experiment lanes run magnifier
-/// programs with multi-set cache footprints, and past a handful of lanes
-/// the batch's aggregate working set falls out of the host cache on every
-/// lane switch. Measured on the distribution workload, 4–8 lanes per
-/// batch beats both one big batch and plain sequential runs; above the
-/// cap we simply make more chunks (which also feeds more chunks to
-/// [`par_map`]).
-const LANES_PER_BATCH: usize = 8;
-
-/// Run prepared heterogeneous `(machine, program)` lanes batch-first:
-/// lanes are split into ordered chunks sized for the host core count
-/// (capped at [`LANES_PER_BATCH`] to keep each batch's footprint within
-/// the host cache), each chunk becomes one lockstep [`Machine::sweep`]
-/// batch, and the chunks fan out through [`par_map`] — the core-level ×
-/// lane-level parallelism composition every batched experiment shares.
-/// Results come back in lane order; chunking never changes them (lanes
-/// are independent machines).
+/// Run prepared heterogeneous `(machine, program)` lanes: each lane runs
+/// its program on a fork of its machine (the machines themselves are
+/// untouched), fanned out across host cores by [`par_map`]. Results come
+/// back in lane order, bit-identical to calling [`Machine::run`] per lane.
 pub(crate) fn run_lanes_batched(lanes: &[(Machine, &Program)]) -> Vec<RunResult> {
-    if lanes.is_empty() {
-        return Vec::new();
-    }
-    let chunk = lanes
-        .len()
-        .div_ceil(max_threads())
-        .clamp(1, LANES_PER_BATCH);
-    let chunks: Vec<&[(Machine, &Program)]> = lanes.chunks(chunk).collect();
-    par_map(&chunks, |c| Machine::sweep(c.iter().map(|(m, p)| (m, *p))))
-        .into_iter()
-        .flatten()
-        .collect()
+    par_map(lanes, |(m, p)| {
+        m.snapshot().fork().run_one(p, Backend::EventDriven)
+    })
 }
 
 pub mod countermeasures;

@@ -6,10 +6,9 @@
 //! measures that probability directly on the replacement-policy model.
 
 use racer_mem::{CacheSet, LineAddr, ReplacementKind};
-use serde::{Deserialize, Serialize};
 
 /// Measured eviction probability for one (seq, par) size pair.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct ParSeqPoint {
     /// SEQ size.
     pub seq_len: usize,

@@ -3,10 +3,9 @@
 
 use crate::attacks::repetition::{run_repetition, RepetitionConfig, StageBreakdown};
 use crate::machine::Machine;
-use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 7: stage cycles for one address relationship.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RepetitionBar {
     /// `true` for the same-address (secret = 1) case.
     pub same_addr: bool,
@@ -15,7 +14,7 @@ pub struct RepetitionBar {
 }
 
 /// A full sub-figure: both bars plus derived percentages.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RepetitionFigure {
     /// Whether the load stage was raced (Figure 7b) or bare (7a).
     pub racing: bool,

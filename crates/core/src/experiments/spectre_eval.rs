@@ -8,10 +8,9 @@ use crate::attacks::SpectreBack;
 use crate::experiments::TrialPath;
 use crate::machine::Machine;
 use racer_time::{CoarseTimer, Timer};
-use serde::{Deserialize, Serialize};
 
 /// Measured SpectreBack performance.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpectreEval {
     /// The secret that was planted.
     pub secret: Vec<u8>,

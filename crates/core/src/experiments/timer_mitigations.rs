@@ -14,10 +14,9 @@ use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
 use racer_time::{stats, CoarseTimer, FuzzyTimer, Timer};
-use serde::{Deserialize, Serialize};
 
 /// One cell of the mitigation sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MitigationPoint {
     /// Timer model name.
     pub timer: String,
@@ -152,10 +151,9 @@ fn sweep_per_machine(
 /// machine's clock is zero when the magnifier runs and every observation
 /// a timer scores is `timer.measure(0, cycles_to_ns(cycles))` of the
 /// same cycle count. This path therefore runs the
-/// rounds × trial × bit cell grid exactly once through the lockstep
-/// engine — one shared program per rounds value (the magnifier program
-/// depends only on rounds and L1 geometry), lanes chunked across host
-/// cores — and scores the cached cycles under every timer, where the
+/// rounds × trial × bit cell grid exactly once — one shared program per
+/// rounds value (the magnifier program depends only on rounds and L1
+/// geometry), lanes forked across host cores — and scores the cached cycles under every timer, where the
 /// per-machine plan re-runs the whole grid per timer.
 fn sweep_batched(
     timers: &[&str],

@@ -1,8 +1,8 @@
 //! Scoring a candidate gadget: resolution, monotonicity, stealth.
 //!
 //! One candidate costs `targets.len()` traced runs, fanned through a
-//! single [`Snapshot::run_many`] lockstep batch forked from a warmed
-//! snapshot. Because the run is traced, the timer reading at each target
+//! single [`Snapshot::run_many`] call: one fork of a warmed snapshot per
+//! target. Because the run is traced, the timer reading at each target
 //! falls out of *one* run — the number of clock ops whose completion
 //! cycle is ≤ the measured tail's — with no binary search and no repeat
 //! trials (the simulator is deterministic).
@@ -193,8 +193,8 @@ fn completion_by_pc(r: &RunResult, prog_len: usize) -> Vec<Option<u64>> {
     by_pc
 }
 
-/// Score `tpl` under `cfg`, fanning its lowered target ladder through
-/// one lockstep batch forked from `snap` (which must have been built by
+/// Score `tpl` under `cfg`, running its lowered target ladder on forks of
+/// `snap` (which must have been built by
 /// [`FitnessConfig::snapshot`] for the same config).
 pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Fitness {
     let lowered: Vec<_> = cfg

@@ -5,7 +5,7 @@
 //! exploration for timing attacks) and WhisperFuzz (coverage-guided
 //! timing-vulnerability fuzzing) showed the same gadget space can be
 //! *searched*. This module does exactly that on top of the deterministic
-//! simulator and the batched lockstep engine:
+//! simulator and warm-snapshot forks:
 //!
 //! * [`template`] — a typed grammar over racing-gadget programs.
 //!   [`GadgetTemplate`] captures the FU mix (measured/clock chain ops),
@@ -18,7 +18,7 @@
 //! * [`fitness`] — scores a template by lowering it at a ladder of target
 //!   lengths and fanning the lowered programs through one warmed
 //!   [`Snapshot::run_many`](racer_cpu::engine::Snapshot::run_many)
-//!   lockstep batch. One traced run per target yields the timer reading
+//!   (one fork per target). One traced run per target yields the timer reading
 //!   directly (clock ops completed before the measured tail), so a
 //!   candidate costs a handful of runs, not a binary search. Terms:
 //!   resolution (cycles per clock tick, least-squares), monotonicity of

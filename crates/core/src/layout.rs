@@ -6,14 +6,13 @@
 //! [`Layout::assert_disjoint`], exercised by tests).
 
 use racer_mem::{Addr, Cache, LINE_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Fixed address regions used by gadget code.
 ///
 /// All regions are ≥ 1 MiB apart, so no two regions ever share a cache line;
 /// set collisions between regions are possible (sets are small) and handled
 /// per-gadget by choosing set indices.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct Layout {
     /// The synchronization head (§4.1): flushed before each race so both
     /// paths start together when its DRAM fill returns.

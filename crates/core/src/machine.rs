@@ -2,9 +2,7 @@
 //! timer plumbing the experiments share.
 
 use crate::layout::Layout;
-use racer_cpu::{
-    Backend, Countermeasure, Cpu, CpuConfig, MachineBatch, RunResult, Snapshot, SnapshotCache,
-};
+use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
 use racer_isa::Program;
 use racer_mem::{Addr, CacheConfig, HierarchyConfig, ReplacementKind};
 use racer_time::Timer;
@@ -184,45 +182,15 @@ impl Machine {
     /// effects, and the machine itself (state and wall clock) is
     /// untouched. Results come back in input order, bit-identical to
     /// cloning the machine per program and calling [`Machine::run`] on
-    /// each clone. One snapshot capture + the lockstep engine's shared
-    /// decode tables make this the cheap way to fan a trial grid out
-    /// from one prepared state.
+    /// each clone. One snapshot capture and a copy-on-write fork per
+    /// program make this the cheap way to fan a trial grid out from one
+    /// prepared state.
     ///
     /// # Panics
     ///
     /// Panics on a multi-thread (SMT) configuration.
     pub fn batch(&self, progs: &[Program]) -> Vec<RunResult> {
         self.snapshot().run_many(progs)
-    }
-
-    /// Run a heterogeneous sweep: each `(machine, program)` lane forks
-    /// its machine's current state, all lanes share one lockstep driver
-    /// and one decode table per distinct program. Results in input
-    /// order, bit-identical to calling [`Machine::run`] per lane; the
-    /// machines themselves are untouched. This is the batch-first
-    /// backbone for experiments whose trial points each *prepare* a
-    /// different machine (planted secrets, jitter seeds, warmed sets)
-    /// but run from a shared program pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machines' [`CpuConfig`]s differ (one lockstep
-    /// driver steps every lane) or are multi-thread.
-    pub fn sweep<'a, I>(lanes: I) -> Vec<RunResult>
-    where
-        I: IntoIterator<Item = (&'a Machine, &'a Program)>,
-    {
-        let mut iter = lanes.into_iter();
-        let Some((first_machine, first_prog)) = iter.next() else {
-            return Vec::new();
-        };
-        let snap = first_machine.snapshot();
-        let mut batch = MachineBatch::from_snapshot(&snap);
-        batch.push(first_prog);
-        for (machine, prog) in iter {
-            batch.push_from(&machine.snapshot(), prog);
-        }
-        batch.run()
     }
 
     /// Run a program and return just its cycle count.
@@ -248,8 +216,8 @@ impl Machine {
 
     /// Total instructions committed by clock-advancing runs on this
     /// machine ([`Machine::run`]/[`Machine::run_with`]/
-    /// [`Machine::run_timed`]; [`Machine::batch`]/[`Machine::sweep`] fork
-    /// and leave the machine untouched). The `scenario-e2e` perf rows use
+    /// [`Machine::run_timed`]; [`Machine::batch`] forks and leaves the
+    /// machine untouched). The `scenario-e2e` perf rows use
     /// this as their backend-independent work metric.
     pub fn committed_total(&self) -> u64 {
         self.committed
@@ -392,25 +360,34 @@ mod tests {
 
     #[test]
     fn sweep_matches_per_machine_runs_over_heterogeneous_states() {
-        // Three differently-prepared machines × two programs.
-        let mut machines: Vec<Machine> = (0..3).map(|_| Machine::baseline()).collect();
-        machines[1].run(&probe(16));
-        machines[2].run(&probe(40));
+        // Three differently-prepared machines × two programs, fanned out
+        // as forks; each lane must match running its program directly on
+        // an identically prepared machine.
+        let prepare = |warm: Option<u64>| {
+            let mut m = Machine::baseline();
+            if let Some(n) = warm {
+                m.run(&probe(n)); // dirty the caches so state matters
+            }
+            m
+        };
+        let preps = [None, Some(16), Some(40)];
         let progs = [probe(8), probe(20)];
-        let lanes: Vec<(&Machine, &Program)> = machines
+        let lanes: Vec<(Machine, &Program)> = preps
             .iter()
-            .flat_map(|m| progs.iter().map(move |p| (m, p)))
+            .flat_map(|&w| progs.iter().map(move |p| (prepare(w), p)))
             .collect();
-        let got = Machine::sweep(lanes.iter().copied());
-        assert_eq!(got.len(), machines.len() * progs.len());
-        for (i, ((m, p), got)) in lanes.iter().zip(&got).enumerate() {
-            let want = Machine::from_snapshot(&m.snapshot()).run(p);
+        let got = crate::experiments::run_lanes_batched(&lanes);
+        assert_eq!(got.len(), preps.len() * progs.len());
+        let wants = preps
+            .iter()
+            .flat_map(|&w| progs.iter().map(move |p| prepare(w).run(p)));
+        for (i, (got, want)) in got.iter().zip(wants).enumerate() {
             assert_eq!(
                 format!("{got:?}"),
                 format!("{want:?}"),
                 "sweep lane #{i} diverges from a per-machine run"
             );
         }
-        assert!(Machine::sweep(std::iter::empty()).is_empty());
+        assert!(crate::experiments::run_lanes_batched(&[]).is_empty());
     }
 }

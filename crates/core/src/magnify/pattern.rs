@@ -17,13 +17,12 @@ use crate::layout::Layout;
 use crate::machine::Machine;
 use racer_isa::{Asm, MemOperand, Program};
 use racer_mem::{Addr, CacheSet, LineAddr, ReplacementKind};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel line id for the protected line `A` during the search.
 const A: u64 = u64::MAX;
 
 /// A derived cyclic PLRU magnifier pattern for some associativity.
-#[derive(Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Eq, PartialEq)]
 pub struct PlruPattern {
     /// Associativity the pattern was derived for.
     pub ways: usize,

@@ -18,10 +18,9 @@ use crate::layout::Layout;
 use crate::machine::Machine;
 use racer_isa::{Asm, MemOperand, Program};
 use racer_mem::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Which §6 input state the magnifier amplifies.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum PlruInput {
     /// §6.1: A present vs absent (from a transient P/A racing gadget).
     PresenceAbsence,

@@ -20,7 +20,6 @@
 use racer_cpu::Latencies;
 use racer_isa::{AluOp, Asm, MemOperand, Reg};
 use racer_mem::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Emit the §4.1 synchronization head: a load of `sync` (which the attack
 /// driver flushes beforehand) whose value is folded to zero. Returns the
@@ -39,7 +38,7 @@ pub fn emit_sync_head(asm: &mut Asm, sync: Addr) -> Reg {
 /// chain register holds **zero** at every step (ops use identity
 /// immediates; loads are masked), so the terminator can directly index an
 /// attacker-chosen address.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PathSpec {
     /// `count` chained ALU operations of kind `op` (value-preserving:
     /// `add r,r,0` / `mul r,r,1` / `div r,r,1` / …).

@@ -1,7 +1,7 @@
 //! Property tests for the gadget-template generator: every sampled
 //! template lowers to a program that decodes, terminates within the
 //! fitness cycle budget on the event-driven backend, and runs
-//! bit-identically on all three execution backends (the
+//! bit-identically on both schedulers and on a snapshot fork (the
 //! `crates/cpu/tests/differential.rs` discipline, applied to the search
 //! space instead of random programs).
 
@@ -79,12 +79,15 @@ fn lowered_gadgets_are_bit_identical_across_backends() {
         let tpl = GadgetTemplate::sample(&mut rng);
         let target = cfg.targets[i % cfg.targets.len()];
         let lowered = tpl.lower(target, cfg.clock_len);
-        let batched = fast.run_one(&lowered.prog, Backend::Batched);
+        let forked = fast
+            .snapshot()
+            .fork()
+            .run_one(&lowered.prog, Backend::EventDriven);
         let event = fast.run_one(&lowered.prog, Backend::EventDriven);
         let reference = slow.run_one(&lowered.prog, Backend::Reference);
         let tag = format!("sample #{i} target {target} ({tpl:?})");
         assert_equivalent(&format!("{tag} [event vs reference]"), &event, &reference);
-        assert_equivalent(&format!("{tag} [batched vs event]"), &batched, &event);
+        assert_equivalent(&format!("{tag} [fork vs parent]"), &forked, &event);
     }
 }
 

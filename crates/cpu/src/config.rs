@@ -1,15 +1,13 @@
 //! Core configuration: widths, window sizes, latencies, ports and
 //! countermeasure modes.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware Spectre/side-channel countermeasures modelled by the core
 /// (paper §8, "Potential Countermeasures").
 ///
 /// The paper's central claim is that defences which only police *transient*
 /// execution do not stop the non-transient reorder racing gadget; these modes
 /// let experiments demonstrate that claim quantitatively.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash)]
 pub enum Countermeasure {
     /// No countermeasure: a conventional aggressive out-of-order core.
     #[default]
@@ -55,41 +53,28 @@ impl std::fmt::Display for Countermeasure {
     }
 }
 
-/// Execution backend: which simulation engine runs the program(s) handed
-/// to [`Cpu::run`](crate::Cpu::run).
+/// Execution backend: which scheduler runs the program(s) handed to
+/// [`Cpu::run`](crate::Cpu::run).
 ///
-/// All backends are cycle-exact against each other (pinned by the
+/// Both backends are cycle-exact against each other (pinned by the
 /// differential suites); they differ only in host-side execution strategy
 /// and therefore in throughput:
 ///
 /// * [`EventDriven`](Backend::EventDriven) — the production scheduler
-///   (tag-broadcast wakeup, completion time wheel). Fastest for a single
-///   machine; the default.
+///   (tag-broadcast wakeup, completion time wheel). The default.
 /// * [`Reference`](Backend::Reference) — the retained scan-based seed
 ///   scheduler. Slow but structurally simple; kept as the differential
 ///   oracle.
-/// * [`Batched`](Backend::Batched) — the lockstep multi-machine engine
-///   ([`MachineBatch`](crate::MachineBatch)): the N programs are treated
-///   as N *independent single-thread lanes* forked from the calling
-///   machine's current state (caches, memory, predictor), stepped in
-///   lockstep with a shared decoded µop table. Requires
-///   `cfg.threads == 1`; the calling machine's own state is left
-///   untouched.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
+///
+/// Sweeps of independent runs fork a warmed
+/// [`Snapshot`](crate::Snapshot) per run on the event-driven backend.
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash)]
 pub enum Backend {
     /// Event-driven scheduler (the production engine).
     #[default]
     EventDriven,
     /// Retained scan-based reference scheduler (the differential oracle).
     Reference,
-    /// Structure-of-arrays lockstep batch engine; programs are independent
-    /// lanes forked from the current machine state.
-    Batched,
-}
-
-impl Backend {
-    /// All backends, for differential tests that iterate every engine.
-    pub const ALL: [Backend; 3] = [Backend::EventDriven, Backend::Reference, Backend::Batched];
 }
 
 impl std::fmt::Display for Backend {
@@ -97,7 +82,6 @@ impl std::fmt::Display for Backend {
         f.write_str(match self {
             Backend::EventDriven => "event-driven",
             Backend::Reference => "reference",
-            Backend::Batched => "batched",
         })
     }
 }
@@ -108,7 +92,7 @@ impl std::fmt::Display for Backend {
 /// Paper §9 ("other shared resources"): a racing-gadget timer reads *any*
 /// contended shared resource, and SMT port contention is the canonical
 /// example. The arbitration policy decides how that contention is shaped.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash)]
 pub enum SmtPolicy {
     /// Rotate first claim among threads each cycle (cycle mod thread
     /// count). The classic fair baseline.
@@ -152,7 +136,7 @@ impl std::fmt::Display for SmtPolicy {
 }
 
 /// Branch-predictor selection.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum PredictorKind {
     /// Classic 2-bit saturating counters indexed by PC. Trainable — the
     /// transient P/A racing gadget's train/detect phases rely on it.
@@ -174,7 +158,7 @@ impl Default for PredictorKind {
 
 /// Functional-unit latencies, after the paper's §7 processor details and
 /// Agner Fog's tables for Coffee Lake.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub struct Latencies {
     /// Simple integer ops and `lea` (cycles).
     pub alu: u64,
@@ -218,9 +202,7 @@ impl Default for Latencies {
 /// richer levels.
 ///
 /// Levels are cumulative: `Trace` implies `Loads` implies `Counters`.
-#[derive(
-    Copy, Clone, Debug, Default, Eq, PartialEq, Ord, PartialOrd, Hash, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Ord, PartialOrd, Hash)]
 pub enum RecordLevel {
     /// Aggregate counters only (`cycles`, `committed`, `mem_stats`, …);
     /// the `loads` and `trace` vectors stay empty and unallocated.
@@ -253,7 +235,7 @@ impl RecordLevel {
 /// Defaults model a Coffee-Lake-class core at 2 GHz (the paper's i7-8750H):
 /// 4-wide front end, 224-entry ROB, ~60-entry scheduler, 4 ALUs, 1 MUL,
 /// 1 non-pipelined DIV, 2 load ports.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct CpuConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: usize,

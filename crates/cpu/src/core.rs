@@ -316,7 +316,7 @@ pub(crate) struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    pub(crate) fn reset(&mut self, rob_size: usize) {
+    fn reset(&mut self, rob_size: usize) {
         if self.slots.len() != rob_size {
             self.slots.clear();
             self.slots.resize_with(rob_size, Slot::empty);
@@ -413,9 +413,8 @@ impl ThreadCtx {
 
     /// Assemble this context's finished run into a [`RunResult`], moving
     /// the recorded event vectors out. `mem_stats` is the hierarchy delta
-    /// the caller attributes to the run. Shared by the SMT driver and the
-    /// batch engine so the result shape can never drift between backends.
-    pub(crate) fn take_result(&mut self, mem_stats: racer_mem::HierarchyStats) -> RunResult {
+    /// the caller attributes to the run.
+    fn take_result(&mut self, mem_stats: racer_mem::HierarchyStats) -> RunResult {
         RunResult {
             cycles: self.end_cycle,
             committed: self.committed,
@@ -433,9 +432,9 @@ impl ThreadCtx {
 }
 
 /// The hierarchy-stats delta since `before` — the `mem_stats` a run
-/// reports. One function used by every backend, so attribution can never
-/// drift between them.
-pub(crate) fn mem_stats_since(
+/// reports. One function used by both schedulers, so attribution can
+/// never drift between them.
+fn mem_stats_since(
     hier: &Hierarchy,
     before: &racer_mem::HierarchyStats,
 ) -> racer_mem::HierarchyStats {
@@ -449,55 +448,13 @@ pub(crate) fn mem_stats_since(
     s
 }
 
-/// Step one single-thread lane for at most `budget` cycle-loop iterations,
-/// resuming from `cycle`. Returns the updated cycle counter and whether
-/// the lane finished (its `done`/`end_cycle`/`limit_hit` are then already
-/// recorded in the context).
-///
-/// This is the batch engine's inner loop: it builds the *same*
-/// [`Pipeline`] view [`SmtRun`] builds and drives the same
-/// `step_single` body `run_single` loops over, so a lane stepped in
-/// slices is bit-identical to a machine run to completion in one call —
-/// there is exactly one copy of the cycle semantics to agree with.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_lane(
-    cfg: &CpuConfig,
-    hier: &mut Hierarchy,
-    mem: &mut DataMemory,
-    predictor: &mut dyn Predictor,
-    prog: &Program,
-    dec: &[DecodedInstr],
-    s: &mut ThreadCtx,
-    sh: &mut Shared,
-    cycle: u64,
-    budget: u64,
-) -> (u64, bool) {
-    let mut p = Pipeline {
-        cfg,
-        hier,
-        mem,
-        predictor,
-        prog,
-        dec,
-        s,
-        sh,
-        cycle,
-    };
-    for _ in 0..budget {
-        if p.step_single() {
-            return (p.cycle, true);
-        }
-    }
-    (p.cycle, false)
-}
-
 /// Structural resources shared by every hardware thread: the divider
 /// units (one busy-until cycle **per unit** — multi-port divide configs no
 /// longer serialize on a single scalar) and the L1 MSHR file. Issue ports
 /// and bandwidth are also shared, but live as per-cycle counters in the
 /// driver loop.
 #[derive(Debug)]
-pub(crate) struct Shared {
+struct Shared {
     /// Outstanding L1 miss lines → data-arrival cycle (MSHR model; at most
     /// `mshrs` entries, so linear scans beat hashing). Shared across
     /// threads, like a real L1's MSHR file: one thread's misses consume
@@ -510,7 +467,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(div_ports: usize, nthreads: usize) -> Self {
+    fn new(div_ports: usize, nthreads: usize) -> Self {
         Shared {
             inflight: Vec::new(),
             div_busy_until: vec![0; div_ports],
@@ -653,17 +610,15 @@ impl Cpu {
     /// [`Backend`], returning timing and event data.
     ///
     /// Pipeline state is fresh per call; caches, data memory and predictor
-    /// state persist from previous calls — except under
-    /// [`Backend::Batched`], which runs the program on a one-lane fork of
-    /// the current machine state and leaves this machine untouched.
-    /// Always runs exactly one context regardless of
+    /// state persist from previous calls (run on a
+    /// [`Snapshot`](crate::Snapshot) fork to leave this machine
+    /// untouched). Always runs exactly one context regardless of
     /// [`CpuConfig::threads`](crate::CpuConfig) — use [`Cpu::run`] for
     /// co-scheduled programs.
     pub fn run_one(&mut self, prog: &Program, backend: Backend) -> RunResult {
         let results = match backend {
             Backend::EventDriven => self.run_event_driven(&[prog]),
             Backend::Reference => self.run_reference(&[prog]),
-            Backend::Batched => self.run_batched(std::slice::from_ref(&prog)),
         };
         results.into_iter().next().expect("one program, one result")
     }
@@ -672,47 +627,30 @@ impl Cpu {
     /// [`Backend`], returning one [`RunResult`] per program
     /// (index-matched).
     ///
-    /// * [`Backend::EventDriven`] / [`Backend::Reference`] **co-schedule**
-    ///   the programs, one per configured hardware thread
-    ///   (`progs.len()` must equal
-    ///   [`CpuConfig::threads`](crate::CpuConfig)). Each thread's `cycles`
-    ///   is the cycle *that thread* finished at; a thread that finishes
-    ///   early leaves the machine to the survivors, so contention is
-    ///   strongest while both run. `mem_stats` is the shared hierarchy's
-    ///   delta for the whole co-run (the caches are shared, so per-thread
-    ///   attribution does not exist in hardware either).
-    /// * [`Backend::Batched`] treats the programs as **independent
-    ///   single-thread lanes**: every lane is forked from this machine's
-    ///   current state (caches, data memory, trained predictor) and run in
-    ///   lockstep by a [`MachineBatch`](crate::MachineBatch); this
-    ///   machine's own state is left untouched. Requires a
-    ///   single-thread config. Each result is bit-identical to cloning
-    ///   this machine and running that one program on
-    ///   [`Backend::EventDriven`].
+    /// The programs are **co-scheduled**, one per configured hardware
+    /// thread (`progs.len()` must equal
+    /// [`CpuConfig::threads`](crate::CpuConfig)). Each thread's `cycles`
+    /// is the cycle *that thread* finished at; a thread that finishes
+    /// early leaves the machine to the survivors, so contention is
+    /// strongest while both run. `mem_stats` is the shared hierarchy's
+    /// delta for the whole co-run (the caches are shared, so per-thread
+    /// attribution does not exist in hardware either). Independent
+    /// programs that should each start from this machine's current state
+    /// run on [`Snapshot`](crate::Snapshot) forks instead.
     ///
     /// # Panics
     ///
-    /// Panics if the program count violates the chosen backend's contract
-    /// above.
+    /// Panics unless `progs.len()` equals the configured thread count.
     pub fn run(&mut self, progs: &[&Program], backend: Backend) -> Vec<RunResult> {
-        match backend {
-            Backend::EventDriven => {
-                self.assert_one_per_thread(progs.len(), backend);
-                self.run_event_driven(progs)
-            }
-            Backend::Reference => {
-                self.assert_one_per_thread(progs.len(), backend);
-                self.run_reference(progs)
-            }
-            Backend::Batched => self.run_batched(progs),
-        }
-    }
-
-    fn assert_one_per_thread(&self, n: usize, backend: Backend) {
         assert_eq!(
-            n, self.cfg.threads,
+            progs.len(),
+            self.cfg.threads,
             "the {backend} backend co-schedules one program per configured hardware thread"
         );
+        match backend {
+            Backend::EventDriven => self.run_event_driven(progs),
+            Backend::Reference => self.run_reference(progs),
+        }
     }
 
     /// Capture this machine's persistent state (config, caches, data
@@ -721,18 +659,10 @@ impl Cpu {
     ///
     /// # Panics
     ///
-    /// Panics unless this is a single-thread config (forked lanes are
+    /// Panics unless this is a single-thread config (forks are
     /// single-thread machines).
     pub fn snapshot(&self) -> crate::engine::Snapshot {
         crate::engine::Snapshot::capture(self)
-    }
-
-    fn run_batched(&mut self, progs: &[&Program]) -> Vec<RunResult> {
-        let mut batch = crate::engine::MachineBatch::from_snapshot(&self.snapshot());
-        for prog in progs {
-            batch.push(prog);
-        }
-        batch.run()
     }
 
     fn run_event_driven(&mut self, progs: &[&Program]) -> Vec<RunResult> {
@@ -929,49 +859,37 @@ impl<'a> Pipeline<'a> {
     /// per-cycle driver cost. Leaves the context's `done`/`end_cycle`/
     /// `limit_hit` set for the shared result assembly.
     fn run_single(&mut self) {
-        while !self.step_single() {}
-    }
-
-    /// One iteration of the single-thread cycle loop: all five stages in
-    /// the fixed stage order, then the end-of-cycle bookkeeping (interrupt
-    /// drain, cycle limit). Returns `true` when the run finished — by
-    /// committed `halt`, pipeline drain, or the cycle limit — with the
-    /// context's `done`/`end_cycle`/`limit_hit` already recorded via
-    /// [`Pipeline::finish`]. Factored out of [`Pipeline::run_single`] so
-    /// the batch engine can drive the *same* loop body one slice at a
-    /// time: lockstep stepping is cycle-exact by construction because
-    /// there is exactly one copy of the cycle semantics.
-    fn step_single(&mut self) -> bool {
-        self.writeback();
-        self.commit();
-        if self.s.halted {
-            self.finish(false);
-            return true;
-        }
-        let mut used = [0usize; NUM_CLASSES];
-        let mut issued = 0usize;
-        self.issue(&mut used, &mut issued);
-        self.dispatch();
-        self.fetch();
-        if self.finished() {
-            self.finish(false);
-            return true;
-        }
-        self.cycle += 1;
-        if let Some(interval) = self.cfg.interrupt_interval {
-            if self.cycle.is_multiple_of(interval) && !self.s.draining {
-                self.s.draining = true;
-                self.s.interrupts += 1;
+        loop {
+            self.writeback();
+            self.commit();
+            if self.s.halted {
+                self.finish(false);
+                return;
+            }
+            let mut used = [0usize; NUM_CLASSES];
+            let mut issued = 0usize;
+            self.issue(&mut used, &mut issued);
+            self.dispatch();
+            self.fetch();
+            if self.finished() {
+                self.finish(false);
+                return;
+            }
+            self.cycle += 1;
+            if let Some(interval) = self.cfg.interrupt_interval {
+                if self.cycle.is_multiple_of(interval) && !self.s.draining {
+                    self.s.draining = true;
+                    self.s.interrupts += 1;
+                }
+            }
+            if self.s.draining && self.s.len == 0 {
+                self.s.draining = false;
+            }
+            if self.cycle >= self.cfg.max_run_cycles {
+                self.finish(true);
+                return;
             }
         }
-        if self.s.draining && self.s.len == 0 {
-            self.s.draining = false;
-        }
-        if self.cycle >= self.cfg.max_run_cycles {
-            self.finish(true);
-            return true;
-        }
-        false
     }
 
     /// Record this context as finished at the current cycle.

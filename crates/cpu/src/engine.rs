@@ -1,56 +1,38 @@
-//! The batched lockstep simulation engine: many single-thread machines,
-//! one driver loop.
+//! Warm-state snapshots: capture a machine once, fork it per trial.
 //!
 //! Sweeps are the repo's dominant workload shape: run N program *variants*
 //! (target lengths, repeat counts, magnifier settings) on machines that
 //! share a [`CpuConfig`] and usually a warmed-up starting state. Spawning
-//! one fresh [`Cpu`] per variant pays the warmup run and the scheduling-
-//! structure allocation N times; [`MachineBatch`] pays them once:
+//! one fresh [`Cpu`] per variant pays the warmup run and the hierarchy
+//! allocation N times; a [`Snapshot`] pays them once:
 //!
 //! * **Snapshots** ([`Snapshot`]): one deep capture of a machine's
 //!   persistent state — caches (replacement state included), data memory,
-//!   trained branch predictor — behind an [`Arc`], shared copy-on-fork
-//!   across lanes and across host threads
-//!   ([`batch::par_map`](crate::batch::par_map) workers can all fork from
-//!   the same snapshot). A sweep warms one machine, snapshots it, and
-//!   forks it per point instead of re-running warmup per point.
-//! * **Shared µop tables**: each *distinct* program pushed into a batch is
-//!   decoded once ([`DecodedProgram`]); every lane running that program
-//!   indexes the same table. A countermeasure or repeat-count sweep that
-//!   pushes the same gadget N times decodes it once.
-//! * **Copy-on-write lane memory**: forking a lane clones the snapshot's
+//!   trained branch predictor — behind an [`Arc`], shared across forks and
+//!   across host threads ([`batch::par_map`](crate::batch::par_map)
+//!   workers can all fork from the same snapshot). A sweep warms one
+//!   machine, snapshots it, and forks it per point instead of re-running
+//!   warmup per point.
+//! * **Copy-on-write forks**: [`Snapshot::fork`] clones the snapshot's
 //!   [`Hierarchy`], which shares cache storage in `Arc`-backed chunks and
-//!   only materialises the chunks the lane actually writes (see
-//!   `racer_mem`'s COW docs). Sixty-four lanes of a warmed snapshot share
-//!   one L2/L3 image instead of thrashing the host cache with 64 private
-//!   megabyte-scale copies — the change that makes lockstep win at high
-//!   lane counts.
-//! * **Structure-of-arrays lanes, adaptive lockstep slices**: per-lane
-//!   state (ROB ring, RAT, ready heaps, stall pool, cache hierarchy,
-//!   store queue) lives contiguously in the batch's lane vector. Hot
-//!   scheduling state — the resumable cycle counter and the live-lane
-//!   index list — is packed separately, so the round-robin driver never
-//!   touches finished lanes' cold state. Each round advances every live
-//!   lane by a slice chosen by [`schedule_slice`] from the live-lane
-//!   count and the lanes' measured private footprints (bigger slices as
-//!   aggregate working sets outgrow the host cache, up to running each
-//!   lane effectively serially). Lane [`ThreadCtx`] allocations are
-//!   recycled across [`MachineBatch::run`] rounds, so a long-running
-//!   sweep driver stops touching the allocator entirely.
+//!   only materialises the chunks the fork actually writes (see
+//!   `racer_mem`'s COW docs), so a fork costs O(1) and its private
+//!   footprint grows only with what it touches. Each fork runs to
+//!   completion on the event-driven scheduler and is dropped as soon as
+//!   its result is taken.
+//! * **Warm reuse across a process** ([`SnapshotCache`]): scenarios that
+//!   stamp out many machines of one configuration build and warm it once
+//!   per process and fork the cached snapshot thereafter.
 //!
 //! # Cycle exactness
 //!
-//! Lanes are *independent machines*: they share no simulated state, only
-//! host-side tables and allocations. Each lane is driven by
-//! [`core::step_lane`], which executes the **same** cycle-loop body
-//! `Cpu::run` uses for a single thread — there is exactly one copy of the
-//! cycle semantics, so a lane stepped in lockstep slices is bit-identical
-//! (cycles, committed state, timer readings, cache stats) to forking a
-//! whole machine and running it to completion, in any lane order. The
-//! differential suites pin this against both retained schedulers.
+//! A fork *is* the captured machine: its first run is bit-identical
+//! (cycles, committed state, timer readings, cache stats) to the run the
+//! captured machine would have made next. The differential suite pins
+//! this on every program it runs, next to event-driven vs reference.
 //!
 //! ```
-//! use racer_cpu::{Backend, Cpu, CpuConfig, MachineBatch};
+//! use racer_cpu::{Backend, Cpu, CpuConfig};
 //! use racer_isa::Asm;
 //! use racer_mem::HierarchyConfig;
 //!
@@ -61,92 +43,24 @@
 //! asm.halt();
 //! let prog = asm.assemble()?;
 //!
-//! // Warm a machine, snapshot it, fork the snapshot into a batch.
+//! // Warm a machine, snapshot it, run eight forks of the snapshot.
 //! let mut cpu = Cpu::new(CpuConfig::default(), HierarchyConfig::coffee_lake());
 //! cpu.run_one(&prog, Backend::EventDriven); // warmup
-//! let mut batch = MachineBatch::from_snapshot(&cpu.snapshot());
-//! for _ in 0..8 {
-//!     batch.push(&prog);
-//! }
-//! let results = batch.run();
+//! let results = cpu.snapshot().run_many(&vec![prog; 8]);
 //! assert_eq!(results.len(), 8);
-//! // Every lane forked the same warmed state: identical results.
+//! // Every fork starts from the same warmed state: identical results.
 //! assert!(results.iter().all(|r| r.cycles == results[0].cycles));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use crate::config::{Backend, CpuConfig};
-use crate::core::{self, Cpu, Shared, ThreadCtx};
+use crate::core::{Cpu, ThreadCtx};
 use crate::predictor::Predictor;
 use crate::stats::RunResult;
-use racer_isa::{DataMemory, DecodedInstr, DecodedProgram, Program};
-use racer_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
+use racer_isa::{DataMemory, Program};
+use racer_mem::{Hierarchy, HierarchyConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Smallest lockstep slice: enough cycles to amortise the per-lane switch
-/// when every lane's working set fits the host cache together.
-const SLICE_MIN: u64 = 64;
-
-/// Largest lockstep slice. At this size a lane typically runs a whole
-/// short program within one round — the schedule's answer when aggregate
-/// lane footprints dwarf the host cache and interleaving only thrashes.
-const SLICE_MAX: u64 = 32_768;
-
-/// Host-cache budget the slice schedule aims to keep resident across a
-/// round, approximating a desktop L2+LLC share. Only the *ratio* of
-/// aggregate lane footprint to this matters, so precision is not required.
-const HOST_CACHE_BUDGET: usize = 2 * 1024 * 1024;
-
-/// Host bytes of a lane's scheduling structures (ROB ring, ready heaps,
-/// stall pool, store queue, RAT) — the COW hierarchy's private chunks and
-/// the data memory are measured, this fixed part is estimated.
-const LANE_CTX_BYTES: usize = 32 * 1024;
-
-/// Pick the cycles each live lane advances per lockstep round.
-///
-/// Switching the driver to another lane costs real host time: the next
-/// lane's private working set (ROB ring, heaps, materialised COW chunks)
-/// has to stream back into the host cache, ~5 µs for a typical ~32 KB
-/// lane against ~65 ns of simulation per cycle. The slice must be large
-/// enough to amortise that, and the pressure grows with both axes the
-/// schedule reads:
-///
-/// * **lane count** — more live lanes means more aggregate working set
-///   cycling through the host cache per round, so the floor scales as
-///   `SLICE_MIN × live_lanes` (64 lanes ⇒ 4096-cycle slices);
-/// * **measured footprint** — `private_bytes` is the lanes' aggregate
-///   *measured* private state: COW cache chunks each lane has actually
-///   materialised ([`Hierarchy::private_bytes_vs`] against the batch
-///   snapshot) plus data memory and fixed per-lane structures. Once it
-///   overflows [`HOST_CACHE_BUDGET`], every switch pays a per-lane
-///   reload, so the slice also scales with per-lane bytes (~1 cycle per
-///   32 private bytes ≈ 20× reload amortisation).
-///
-/// A single live lane always runs at [`SLICE_MAX`]: interleaving has
-/// nothing left to interleave with.
-///
-/// Correctness never depends on the slice: lanes share no simulated
-/// state, so any schedule produces bit-identical results (pinned by the
-/// engine property tests).
-fn schedule_slice(live_lanes: usize, private_bytes: usize) -> u64 {
-    if live_lanes <= 1 {
-        return SLICE_MAX;
-    }
-    let floor = SLICE_MIN * live_lanes as u64;
-    let amortise = if private_bytes > HOST_CACHE_BUDGET {
-        // Over budget, every round pays a full per-lane reload: scale the
-        // slice with per-lane bytes AND lane count so big batches converge
-        // on one-round (effectively serial) completion.
-        (private_bytes / 32) as u64
-    } else {
-        0
-    };
-    floor
-        .max(amortise)
-        .next_power_of_two()
-        .clamp(SLICE_MIN, SLICE_MAX)
-}
 
 /// An immutable capture of a machine's persistent state — config, cache
 /// hierarchy (replacement and stats state included), data memory and
@@ -176,7 +90,7 @@ impl Snapshot {
     ///
     /// # Panics
     ///
-    /// Panics unless `cpu` is a single-thread config (forked lanes are
+    /// Panics unless `cpu` is a single-thread config (forks are
     /// single-thread machines).
     pub(crate) fn capture(cpu: &Cpu) -> Self {
         assert_eq!(
@@ -191,21 +105,6 @@ impl Snapshot {
                 predictor: cpu.predictors[0].clone_box(),
             }),
         }
-    }
-
-    /// A snapshot of a *cold* machine: fresh caches, empty memory,
-    /// untrained predictor. The batch equivalent of [`Cpu::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation or is not single-thread.
-    pub fn cold(cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Self {
-        Self::capture(&Cpu::new(cfg, hier_cfg))
-    }
-
-    /// The captured core configuration.
-    pub fn config(&self) -> &CpuConfig {
-        &self.inner.cfg
     }
 
     /// Stamp out an independent machine starting from the captured state.
@@ -223,294 +122,13 @@ impl Snapshot {
     }
 
     /// Run each of `progs` on an independent fork of this snapshot and
-    /// return one [`RunResult`] per program, in input order — the
-    /// convenience form of building a [`MachineBatch`] by hand. Lanes with
-    /// equal programs share one decoded µop table; results are
-    /// bit-identical to `self.fork().run_one(prog, Backend::EventDriven)`
-    /// per program.
+    /// return one [`RunResult`] per program, in input order. Each result
+    /// is `self.fork().run_one(prog, Backend::EventDriven)`.
     pub fn run_many(&self, progs: &[Program]) -> Vec<RunResult> {
-        let mut batch = MachineBatch::from_snapshot(self);
-        for p in progs {
-            batch.push(p);
-        }
-        batch.run()
-    }
-}
-
-/// A pushed-but-not-yet-materialised lane: which program it runs and
-/// which snapshot it forks from (`None` ⇒ the batch snapshot).
-#[derive(Debug)]
-struct QueuedLane {
-    /// Index into the batch's shared `programs` / `decoded` tables.
-    prog: usize,
-    /// Fork source for heterogeneous-state batches
-    /// ([`MachineBatch::push_from`]); `None` forks the batch snapshot.
-    /// O(1) to hold — snapshots are `Arc`-backed.
-    src: Option<Snapshot>,
-}
-
-/// One lane: an independent single-thread machine forked from the batch's
-/// snapshot. Hot scheduling state (the resumable cycle counter, liveness)
-/// is *not* here — it lives in [`MachineBatch`]'s packed `cycles` / live
-/// lists so the lockstep driver never pulls a cold lane's cache lines in
-/// just to decide whether to step it.
-#[derive(Debug)]
-struct Lane {
-    /// Index into the batch's shared `programs` / `decoded` tables.
-    prog: usize,
-    hier: Hierarchy,
-    mem: DataMemory,
-    predictor: Box<dyn Predictor>,
-    ctx: ThreadCtx,
-    shared: Shared,
-    /// Hierarchy stats at fork time (the lane's `mem_stats` baseline).
-    stats_before: HierarchyStats,
-}
-
-impl Lane {
-    /// Approximate host bytes this lane's private state occupies beyond
-    /// the shared snapshot `base`: materialised COW cache chunks, sparse
-    /// data-memory entries (hash-map entry ≈ key + value + bucket
-    /// overhead) and the fixed scheduling structures.
-    fn private_bytes_vs(&self, base: &Hierarchy) -> usize {
-        self.hier.private_bytes_vs(base) + self.mem.len() * 48 + LANE_CTX_BYTES
-    }
-}
-
-/// A structure-of-arrays batch of independent single-thread machines
-/// stepped in lockstep.
-///
-/// Push one program per lane ([`MachineBatch::push`]; lanes running equal
-/// programs share one decoded µop table), then [`MachineBatch::run`] to
-/// step every lane to completion and collect one [`RunResult`] per lane
-/// in push order. The batch is reusable: after `run` the lanes are
-/// cleared but their scheduling-structure allocations are pooled for the
-/// next round of pushes.
-///
-/// This is the engine behind [`Backend::Batched`](crate::Backend); see
-/// the [module docs](self) for the layout and the cycle-exactness
-/// argument.
-#[derive(Debug)]
-pub struct MachineBatch {
-    snap: Snapshot,
-    /// Distinct programs pushed so far, in first-push order.
-    programs: Vec<Program>,
-    /// Shared decoded µop table, parallel to `programs`.
-    decoded: Vec<Vec<DecodedInstr>>,
-    /// Program index (and optional per-lane fork source) per pushed lane.
-    /// Lane state itself materialises *lazily*, on a lane's first lockstep
-    /// step: forking at push time would walk every lane's fresh state
-    /// twice (once to create, again — cold by then — to step), where the
-    /// per-machine baseline creates and runs each machine back to back.
-    /// Deferring the fork restores that locality and keeps the batch's
-    /// decode-sharing and pooling wins.
-    queued: Vec<QueuedLane>,
-    /// Materialised lanes, in push order; grows during the first round of
-    /// [`MachineBatch::run`].
-    lanes: Vec<Lane>,
-    /// Packed hot state, parallel to `lanes`: each lane's resumable cycle
-    /// counter (`Pipeline::cycle` between slices). The lockstep driver
-    /// reads/writes only this array and the live-index list per round.
-    cycles: Vec<u64>,
-    /// Retired lane contexts: ROB ring / heap / wheel allocations recycled
-    /// by later pushes.
-    spare: Vec<ThreadCtx>,
-}
-
-impl MachineBatch {
-    /// A batch whose lanes fork from `snap`.
-    pub fn from_snapshot(snap: &Snapshot) -> Self {
-        MachineBatch {
-            snap: snap.clone(),
-            programs: Vec::new(),
-            decoded: Vec::new(),
-            queued: Vec::new(),
-            lanes: Vec::new(),
-            cycles: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// A batch whose lanes fork from a cold machine (the batch equivalent
-    /// of running each program on a fresh [`Cpu`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation or is not single-thread.
-    pub fn cold(cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Self {
-        Self::from_snapshot(&Snapshot::cold(cfg, hier_cfg))
-    }
-
-    /// The snapshot this batch forks lanes from.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snap
-    }
-
-    /// Number of lanes queued for the next [`MachineBatch::run`].
-    pub fn lanes(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Whether no lanes are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queued.is_empty()
-    }
-
-    /// Add a lane that runs `prog` from a fork of the batch snapshot.
-    /// Programs equal to an already-pushed one share its decoded µop
-    /// table. The fork itself is deferred to the lane's first step inside
-    /// [`MachineBatch::run`].
-    pub fn push(&mut self, prog: &Program) {
-        let idx = self.intern(prog);
-        self.queued.push(QueuedLane {
-            prog: idx,
-            src: None,
-        });
-    }
-
-    /// Add a lane that runs `prog` from a fork of `src` instead of the
-    /// batch snapshot: the heterogeneous-state form of
-    /// [`MachineBatch::push`], for sweeps whose trial points each prepare
-    /// a *different* machine (distinct cache layouts, jitter seeds,
-    /// planted secrets) but still want shared decode tables, pooled lane
-    /// allocations and one lockstep driver. Decode sharing is unchanged —
-    /// equal programs share one µop table regardless of fork source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` was captured under a different [`CpuConfig`] than
-    /// the batch snapshot: the lockstep driver steps every lane with the
-    /// batch's config. (Hierarchy configs may differ freely — each lane
-    /// forks its own source's caches and memory.)
-    pub fn push_from(&mut self, src: &Snapshot, prog: &Program) {
-        assert_eq!(
-            src.config(),
-            self.snap.config(),
-            "push_from lane snapshot must share the batch CpuConfig"
-        );
-        let idx = self.intern(prog);
-        self.queued.push(QueuedLane {
-            prog: idx,
-            src: Some(src.clone()),
-        });
-    }
-
-    /// Index of `prog` in the shared decode tables, decoding on first use.
-    fn intern(&mut self, prog: &Program) -> usize {
-        match self.programs.iter().position(|p| p == prog) {
-            Some(i) => i,
-            None => {
-                let mut dec = Vec::new();
-                DecodedProgram::decode_into(prog, &mut dec);
-                self.programs.push(prog.clone());
-                self.decoded.push(dec);
-                self.programs.len() - 1
-            }
-        }
-    }
-
-    /// Aggregate measured private footprint of the lanes in `live`
-    /// (COW-materialised cache chunks + data memory + fixed structures) —
-    /// the input to [`schedule_slice`]. Each lane is measured against the
-    /// snapshot it actually forked, so `push_from` lanes don't count their
-    /// source's whole image as private.
-    fn live_private_bytes(&self, live: &[u32]) -> usize {
-        live.iter()
-            .map(|&i| {
-                let i = i as usize;
-                let base = match &self.queued[i].src {
-                    Some(src) => &src.inner.hier,
-                    None => &self.snap.inner.hier,
-                };
-                self.lanes[i].private_bytes_vs(base)
-            })
-            .sum()
-    }
-
-    /// Step every queued lane to completion in lockstep (round-robin over
-    /// the live-lane list, slices from [`schedule_slice`]) and return one
-    /// [`RunResult`] per lane, in push order. Clears the lanes; the batch
-    /// can be refilled and run again, reusing the retired lanes'
-    /// allocations.
-    pub fn run(&mut self) -> Vec<RunResult> {
-        let cfg = self.snap.inner.cfg;
-        let st = &self.snap.inner;
-        let n = self.queued.len();
-        let mut live: Vec<u32> = (0..n as u32).collect();
-        // First-round slice from the fork-time footprint (shared COW
-        // chunks are free; data memory and fixed structures are not).
-        let fork_bytes = st.mem.len() * 48 + LANE_CTX_BYTES;
-        let mut slice = schedule_slice(n, n * fork_bytes);
-        let mut round: u64 = 0;
-        self.lanes.reserve(n);
-        self.cycles.reserve(n);
-        while !live.is_empty() {
-            // Re-measure footprints (lanes materialise COW chunks as they
-            // run) on power-of-two round numbers: O(log rounds) scans of
-            // the Arc-sharing maps instead of one per round.
-            round += 1;
-            if round.is_power_of_two() && round > 1 {
-                slice = schedule_slice(live.len(), self.live_private_bytes(&live));
-            }
-            let (lanes, cycles) = (&mut self.lanes, &mut self.cycles);
-            let (programs, decoded) = (&self.programs, &self.decoded);
-            let (queued, spare) = (&self.queued, &mut self.spare);
-            live.retain(|&i| {
-                let i = i as usize;
-                if i == lanes.len() {
-                    // First visit (round 1 reaches lanes in push order):
-                    // fork the lane now, step it immediately while its
-                    // state is hot — the create-then-run locality the
-                    // per-machine baseline gets for free.
-                    let mut ctx = spare.pop().unwrap_or_default();
-                    ctx.reset(st.cfg.rob_size);
-                    // COW fork: chunk-pointer copies of the source
-                    // hierarchy — the lane materialises private chunks
-                    // only where it writes. `push_from` lanes fork their
-                    // own source snapshot instead of the batch's.
-                    let src: &SnapshotState = match &queued[i].src {
-                        Some(s) => &s.inner,
-                        None => st,
-                    };
-                    let hier = src.hier.clone();
-                    lanes.push(Lane {
-                        prog: queued[i].prog,
-                        stats_before: hier.stats(),
-                        hier,
-                        mem: src.mem.clone(),
-                        predictor: src.predictor.clone_box(),
-                        ctx,
-                        shared: Shared::new(st.cfg.div_ports, 1),
-                    });
-                    cycles.push(0);
-                }
-                let lane = &mut lanes[i];
-                let (cycle, done) = core::step_lane(
-                    &cfg,
-                    &mut lane.hier,
-                    &mut lane.mem,
-                    lane.predictor.as_mut(),
-                    &programs[lane.prog],
-                    &decoded[lane.prog],
-                    &mut lane.ctx,
-                    &mut lane.shared,
-                    cycles[i],
-                    slice,
-                );
-                cycles[i] = cycle;
-                !done
-            });
-        }
-        self.queued.clear();
-        let lanes = std::mem::take(&mut self.lanes);
-        self.cycles.clear();
-        let mut results = Vec::with_capacity(lanes.len());
-        for mut lane in lanes {
-            let mem_stats = core::mem_stats_since(&lane.hier, &lane.stats_before);
-            results.push(lane.ctx.take_result(mem_stats));
-            self.spare.push(lane.ctx);
-        }
-        results
+        progs
+            .iter()
+            .map(|p| self.fork().run_one(p, Backend::EventDriven))
+            .collect()
     }
 }
 
@@ -554,7 +172,7 @@ struct CacheInner {
 /// cache builds each distinct configuration **once per process** and
 /// hands every later request an O(1) [`Snapshot`] clone whose forks are
 /// bit-identical to a freshly constructed (and identically warmed)
-/// machine — the byte-identity argument the batch-first experiment
+/// machine — the byte-identity argument the fork-based experiment
 /// pipeline rests on.
 ///
 /// Keying is exact: a lookup matches only when the configs and the warmup
@@ -601,8 +219,8 @@ impl SnapshotCache {
         GLOBAL.get_or_init(|| SnapshotCache::new(64))
     }
 
-    /// A snapshot of a cold machine under `(cfg, hier_cfg)` — cached
-    /// [`Snapshot::cold`]. Forks are bit-identical to
+    /// A snapshot of a cold machine under `(cfg, hier_cfg)`: fresh caches,
+    /// empty memory, untrained predictor. Forks are bit-identical to
     /// `Cpu::new(cfg, hier_cfg)`.
     ///
     /// # Panics

@@ -39,14 +39,15 @@
 //! Every run goes through one entry point — [`Cpu::run`] (or the
 //! single-program [`Cpu::run_one`]) — parameterised by a [`Backend`]:
 //! the event-driven production scheduler ([`core`], allocation-free in
-//! steady state), the retained scan-based golden model in
-//! [`mod@reference`], or the lockstep multi-machine batch engine in
-//! [`engine`] ([`MachineBatch`], fed by copy-on-fork [`Snapshot`]s). All
-//! three are cycle-exact against each other, pinned by the differential
-//! suites. [`RecordLevel`] controls how much event data a run records,
+//! steady state) or the retained scan-based golden model in
+//! [`mod@reference`]. The two are cycle-exact against each other, pinned
+//! by the differential suites. Sweeps of independent runs warm one
+//! machine, capture it as a copy-on-fork [`Snapshot`] ([`engine`]) and run
+//! each trial on a fork; [`SnapshotCache`] keeps warm snapshots per
+//! process. [`RecordLevel`] controls how much event data a run records,
 //! and [`batch::par_map`] fans independent simulations out across host
 //! cores. `BENCH_pipeline.json` at the repo root records measured
-//! throughput for the schedulers and the batch engine.
+//! throughput for the schedulers and the fork-based sweeps.
 //!
 //! ## Quickstart
 //!
@@ -85,6 +86,6 @@ pub use config::{
     Backend, Countermeasure, CpuConfig, Latencies, PredictorKind, RecordLevel, SmtPolicy,
 };
 pub use core::Cpu;
-pub use engine::{MachineBatch, Snapshot, SnapshotCache, SnapshotCacheCounters};
+pub use engine::{Snapshot, SnapshotCache, SnapshotCacheCounters};
 pub use stats::{LoadEvent, RunResult};
 pub use trace::{render_pipeline, TraceRecord};

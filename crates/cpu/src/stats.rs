@@ -1,7 +1,6 @@
 //! Run results and per-load event records.
 
 use racer_mem::{HierarchyStats, HitLevel};
-use serde::{Deserialize, Serialize};
 
 /// One dynamic load observed during a run (recorded at
 /// [`RecordLevel::Loads`](crate::RecordLevel::Loads) and above).
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Squashed loads — issued on a mispredicted path and later discarded — are
 /// the paper's transient cache transmitters: they appear here with
 /// `committed == false` but may still have changed cache state.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct LoadEvent {
     /// Static instruction index.
     pub pc: usize,
@@ -30,7 +29,7 @@ pub struct LoadEvent {
 }
 
 /// Outcome of executing one program on the out-of-order core.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// Total cycles from first fetch to final commit/drain.
     pub cycles: u64,

@@ -9,10 +9,9 @@
 //! diagrams come from [`render_pipeline`].
 
 use racer_isa::Instr;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle timestamps of one dynamic instruction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraceRecord {
     /// Dynamic sequence number.
     pub seq: u64,

@@ -23,7 +23,7 @@
 //! the racing-gadget timer program whose resolution the
 //! `smt_contention_eval` scenario measures under each contender.
 
-use crate::{Backend, Cpu, CpuConfig, MachineBatch, RunResult};
+use crate::{Backend, Cpu, CpuConfig, RunResult};
 use racer_isa::{AluOp, Asm, Cond, Instr, MemOperand, Operand, Program};
 use racer_mem::HierarchyConfig;
 use std::time::Instant;
@@ -333,11 +333,8 @@ pub struct Throughput {
 
 /// Time `reps` fresh executions of `prog` on a Coffee-Lake-shaped machine
 /// with the chosen [`Backend`]. Caches and predictor are warmed by one
-/// untimed run first so every backend sees identical state. (Under
-/// [`Backend::Batched`] each call forks the machine and leaves it
-/// untouched, so the "warmup" run measures engine overhead against the
-/// same cold state every rep — the fork-amortised sweep shape lives in
-/// [`measure_sweep`].)
+/// untimed run first so every backend sees identical state. (The
+/// fork-amortised sweep shape lives in [`measure_sweep_forked`].)
 ///
 /// # Panics
 ///
@@ -351,7 +348,7 @@ pub fn measure_throughput(prog: &Program, reps: usize, backend: Backend) -> Thro
     let mut last = None;
     for _ in 0..reps {
         let r = cpu.run_one(prog, backend);
-        assert!(r.halted && !r.limit_hit, "workload must run to completion");
+        assert_completes(&r);
         committed += r.committed;
         last = Some(r);
     }
@@ -364,134 +361,72 @@ pub fn measure_throughput(prog: &Program, reps: usize, backend: Backend) -> Thro
 
 /// Time a K-point *sweep* of `prog` — the repo's dominant experiment
 /// shape: every point needs a machine warmed by `warmup` untimed
-/// executions, then runs the program once, timed.
+/// executions, then runs the program once, timed. This is the fork-based
+/// strategy: warm **one** machine, snapshot it, and run each point on a
+/// fork of the snapshot, so warmup is paid once for the whole sweep.
 ///
-/// The backend selects the sweep strategy:
-///
-/// * [`Backend::EventDriven`] / [`Backend::Reference`] model the classic
-///   per-machine sweep: each of the `points` points builds a **fresh
-///   machine and re-runs the warmup** before its timed execution.
-/// * [`Backend::Batched`] warms **one** machine (with the event-driven
-///   scheduler), snapshots it, and forks the snapshot into a
-///   [`MachineBatch`] lane per point — warmup is paid once for the whole
-///   sweep.
-///
-/// Every point's result is bit-identical across strategies (a forked lane
-/// is exactly the warmed machine). `instrs_per_sec` counts only the timed
-/// (post-warmup) executions over the whole sweep's wall time, warmup
-/// included — which is precisely why fork-based sweeps are faster.
+/// Every point's result is bit-identical to [`measure_sweep_fresh`]'s (a
+/// fork is exactly the warmed machine). `instrs_per_sec` counts only the
+/// timed (post-warmup) executions over the whole sweep's wall time,
+/// warmup included — which is precisely why fork-based sweeps are faster.
 ///
 /// # Panics
 ///
 /// Panics if the workload does not run to completion, or if `points`
 /// is zero.
-pub fn measure_sweep(prog: &Program, warmup: usize, points: usize, backend: Backend) -> Throughput {
+pub fn measure_sweep_forked(prog: &Program, warmup: usize, points: usize) -> Throughput {
     assert!(points > 0, "a sweep needs at least one point");
-    let cfg = CpuConfig::coffee_lake();
-    let hier = HierarchyConfig::coffee_lake();
-    let check = |r: &RunResult| {
-        assert!(r.halted && !r.limit_hit, "workload must run to completion");
-    };
     let start = Instant::now();
-    let mut committed = 0u64;
-    let result = match backend {
-        Backend::Batched => {
-            let mut cpu = Cpu::new(cfg, hier);
-            for _ in 0..warmup {
-                check(&cpu.run_one(prog, Backend::EventDriven));
-            }
-            let mut batch = MachineBatch::from_snapshot(&cpu.snapshot());
-            for _ in 0..points {
-                batch.push(prog);
-            }
-            let mut results = batch.run();
-            for r in &results {
-                check(r);
-                committed += r.committed;
-            }
-            results.swap_remove(0)
-        }
-        per_machine => {
-            let mut last = None;
-            for _ in 0..points {
-                let mut cpu = Cpu::new(cfg, hier);
-                for _ in 0..warmup {
-                    check(&cpu.run_one(prog, per_machine));
-                }
-                let r = cpu.run_one(prog, per_machine);
-                check(&r);
-                committed += r.committed;
-                last = Some(r);
-            }
-            last.expect("points >= 1")
-        }
-    };
-    let secs = start.elapsed().as_secs_f64();
-    Throughput {
-        instrs_per_sec: committed as f64 / secs,
-        result,
-    }
+    let snap = warmed_machine(prog, warmup).snapshot();
+    let results = (0..points)
+        .map(|_| snap.fork().run_one(prog, Backend::EventDriven))
+        .collect();
+    sweep_throughput(start, results)
 }
 
-/// Time `lanes` executions of `prog`, all forked from one warmed
-/// snapshot: either stepped together in lockstep by a [`MachineBatch`]
-/// ([`Backend::Batched`]) or run to completion one whole forked machine
-/// at a time (any other backend).
-///
-/// Unlike [`measure_sweep`], warmup happens *outside* the timed region on
-/// both sides, so the comparison isolates the engine's lane-stepping
-/// throughput itself — no warmup amortisation in the ratio. This is the
-/// shape behind `benches/batch.rs` and the gated `lockstep-64lane` perf
-/// row: lockstep must at least match whole-machine forks at high lane
-/// counts now that lanes share the snapshot hierarchy copy-on-write.
+/// The classic per-machine form of [`measure_sweep_forked`]: each of the
+/// `points` points builds a **fresh machine and re-runs the warmup**
+/// before its timed execution.
 ///
 /// # Panics
 ///
-/// Panics if the workload does not run to completion, or if `lanes`
+/// Panics if the workload does not run to completion, or if `points`
 /// is zero.
-pub fn measure_lockstep(prog: &Program, lanes: usize, backend: Backend) -> Throughput {
-    assert!(lanes > 0, "need at least one lane");
-    let mut cpu = Cpu::new(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
-    let warm = cpu.run_one(prog, Backend::EventDriven);
-    assert!(
-        warm.halted && !warm.limit_hit,
-        "workload must run to completion"
-    );
-    let snap = cpu.snapshot();
-    let check = |r: &RunResult| {
-        assert!(r.halted && !r.limit_hit, "workload must run to completion");
-    };
+pub fn measure_sweep_fresh(prog: &Program, warmup: usize, points: usize) -> Throughput {
+    assert!(points > 0, "a sweep needs at least one point");
     let start = Instant::now();
+    let results = (0..points)
+        .map(|_| warmed_machine(prog, warmup).run_one(prog, Backend::EventDriven))
+        .collect();
+    sweep_throughput(start, results)
+}
+
+/// A Coffee-Lake-shaped machine after `warmup` runs of `prog`.
+fn warmed_machine(prog: &Program, warmup: usize) -> Cpu {
+    let mut cpu = Cpu::new(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
+    for _ in 0..warmup {
+        assert_completes(&cpu.run_one(prog, Backend::EventDriven));
+    }
+    cpu
+}
+
+/// A sweep's throughput: every point's committed instructions over the
+/// wall time since `start`, with the last point as the result.
+fn sweep_throughput(start: Instant, results: Vec<RunResult>) -> Throughput {
     let mut committed = 0u64;
-    let result = match backend {
-        Backend::Batched => {
-            let mut batch = MachineBatch::from_snapshot(&snap);
-            for _ in 0..lanes {
-                batch.push(prog);
-            }
-            let mut results = batch.run();
-            for r in &results {
-                check(r);
-                committed += r.committed;
-            }
-            results.swap_remove(0)
-        }
-        per_machine => {
-            let mut last = None;
-            for _ in 0..lanes {
-                let r = snap.fork().run_one(prog, per_machine);
-                check(&r);
-                committed += r.committed;
-                last = Some(r);
-            }
-            last.expect("lanes >= 1")
-        }
-    };
+    for r in &results {
+        assert_completes(r);
+        committed += r.committed;
+    }
     let secs = start.elapsed().as_secs_f64();
     Throughput {
         instrs_per_sec: committed as f64 / secs,
-        result,
+        result: results.into_iter().last().expect("points >= 1"),
     }
+}
+
+fn assert_completes(r: &RunResult) {
+    assert!(r.halted && !r.limit_hit, "workload must run to completion");
 }
 
 /// Time a [`Workload`], dispatching on its shape: plain workloads go
@@ -502,9 +437,7 @@ pub fn measure_lockstep(prog: &Program, lanes: usize, backend: Backend) -> Throu
 ///
 /// # Panics
 ///
-/// Panics if any thread of the workload fails to run to completion, or if
-/// an SMT workload is timed with [`Backend::Batched`] (the batch engine
-/// runs independent single-thread lanes, not co-schedules).
+/// Panics if any thread of the workload fails to run to completion.
 pub fn measure_workload(w: &Workload, backend: Backend) -> Throughput {
     let Some(contender) = &w.contender else {
         return measure_throughput(&w.prog, w.reps, backend);
@@ -523,7 +456,7 @@ pub fn measure_workload(w: &Workload, backend: Backend) -> Throughput {
     for _ in 0..w.reps {
         let mut results = run(&mut cpu);
         for r in &results {
-            assert!(r.halted && !r.limit_hit, "workload must run to completion");
+            assert_completes(r);
             committed += r.committed;
         }
         last = Some(results.swap_remove(0));

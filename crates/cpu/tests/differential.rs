@@ -1,7 +1,7 @@
-//! Differential validation of every execution backend against the
-//! retained scan-based reference scheduler (`racer_cpu::reference`): the
-//! event-driven production scheduler and the lockstep batch engine
-//! (`racer_cpu::engine`) both run every program.
+//! Differential validation of the event-driven production scheduler
+//! against the retained scan-based reference scheduler
+//! (`racer_cpu::reference`), plus a snapshot fork (`racer_cpu::engine`)
+//! of the event-driven machine, on every program.
 //!
 //! The implementations must be **cycle-exact** equivalents: for any
 //! program and configuration, every observable of [`RunResult`] — total
@@ -223,17 +223,16 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
     }
 }
 
-/// Run `count` random programs through every [`Backend`] on a persistent
+/// Run `count` random programs through both [`Backend`]s on a persistent
 /// pair of machines (warm caches + trained predictors accumulate
 /// identically). Every third program wraps its body in a counted
 /// backward-branch loop.
 ///
-/// The batched backend forks a one-lane [`racer_cpu::MachineBatch`] from
-/// the fast machine's *current* state without mutating it; the
-/// event-driven run that follows starts from that same state, so the two
-/// must be bit-identical — which pins the batch engine against the
-/// production scheduler on every program, countermeasure and accumulated
-/// warm state the suite covers.
+/// Each program also runs first on a [`racer_cpu::Snapshot`] fork of the
+/// fast machine's *current* state, which leaves the machine untouched;
+/// the event-driven run that follows starts from that same state, so the
+/// two must be bit-identical — which pins fork == parent on every
+/// program, countermeasure and accumulated warm state the suite covers.
 fn run_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
     let mut fast_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
     let mut slow_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
@@ -245,12 +244,15 @@ fn run_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
             None
         };
         let prog = random_program(&mut rng, len, trips);
-        let batched = fast_cpu.run_one(&prog, Backend::Batched);
+        let forked = fast_cpu
+            .snapshot()
+            .fork()
+            .run_one(&prog, Backend::EventDriven);
         let fast = fast_cpu.run_one(&prog, Backend::EventDriven);
         let slow = slow_cpu.run_one(&prog, Backend::Reference);
         let tag = format!("cm={} program #{i}", cfg.countermeasure);
         assert_equivalent(&format!("{tag} [event-driven vs reference]"), &fast, &slow);
-        assert_equivalent(&format!("{tag} [batched vs event-driven]"), &batched, &fast);
+        assert_equivalent(&format!("{tag} [fork vs parent]"), &forked, &fast);
         assert_eq!(
             fast_cpu.mem(),
             slow_cpu.mem(),

@@ -1,30 +1,17 @@
-//! Property tests for the batched lockstep engine (`racer_cpu::engine`).
+//! Property tests for warm-state snapshots (`racer_cpu::engine`).
 //!
-//! The engine's contract is bit-identity: a lane stepped inside a
-//! [`MachineBatch`] must produce exactly the [`RunResult`] that forking a
-//! whole machine from the same [`Snapshot`] and running it to completion
-//! would — cycles, registers, load events, traces and cache statistics —
-//! in any lane order, with any mix of divergent programs, under every
-//! countermeasure. These tests exercise that property on randomized
-//! program populations, plus the fork semantics the sweep drivers rely
-//! on: forks are isolated from the snapshot and from each other, and a
-//! batch is deterministic and reusable across rounds.
+//! A fork of a [`Snapshot`] must produce exactly the [`RunResult`] the
+//! captured machine would have produced next — cycles, registers, load
+//! events, traces and cache statistics. These tests exercise, on
+//! randomized program populations, the fork semantics the sweep drivers
+//! rely on: forks are isolated from the snapshot, from each other and
+//! from the parent machine; `run_many` keeps input order; and the
+//! process-wide [`SnapshotCache`] keys, hits and evicts exactly.
 
 use racer_cpu::workloads::{alu_chain, memory_stream};
-use racer_cpu::{
-    Backend, Countermeasure, Cpu, CpuConfig, MachineBatch, RunResult, Snapshot, SnapshotCache,
-};
+use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
 use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
-
-const ALL_COUNTERMEASURES: [Countermeasure; 6] = [
-    Countermeasure::None,
-    Countermeasure::InOrder,
-    Countermeasure::DelayOnMiss,
-    Countermeasure::InvisibleSpec,
-    Countermeasure::GhostMinion,
-    Countermeasure::CleanupSpec,
-];
 
 /// xorshift64* — deterministic, dependency-free. Seed must be non-zero.
 struct Xs(u64);
@@ -146,8 +133,7 @@ fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
     Program::from_instrs(instrs).expect("generated gadget is valid")
 }
 
-/// A population of random gadgets: every third one loops, lengths vary so
-/// lanes finish in different lockstep rounds.
+/// A population of random gadgets: every third one loops, lengths vary.
 fn gadget_population(seed: u64, count: usize) -> Vec<Program> {
     let mut rng = Xs(seed);
     (0..count)
@@ -183,120 +169,22 @@ fn warmed_snapshot(cfg: CpuConfig) -> Snapshot {
 }
 
 #[test]
-fn lockstep_matches_per_machine_forks_under_every_countermeasure() {
-    for cm in ALL_COUNTERMEASURES {
-        let cfg = CpuConfig::coffee_lake()
-            .with_countermeasure(cm)
-            .with_load_recording();
-        let snap = warmed_snapshot(cfg);
-        let progs = gadget_population(0xC0FFEE ^ cm as u64, 12);
-        let mut batch = MachineBatch::from_snapshot(&snap);
-        for p in &progs {
-            batch.push(p);
-        }
-        let batched = batch.run();
-        assert_eq!(batched.len(), progs.len());
-        for (i, (prog, got)) in progs.iter().zip(&batched).enumerate() {
-            let want = snap.fork().run_one(prog, Backend::EventDriven);
-            assert_bit_identical(&format!("cm={cm} gadget #{i}"), got, &want);
-        }
-    }
-}
-
-#[test]
-fn lockstep_matches_per_machine_forks_with_full_traces() {
-    let cfg = CpuConfig::coffee_lake().with_record_level(racer_cpu::RecordLevel::Trace);
-    let snap = warmed_snapshot(cfg);
-    let progs = gadget_population(0x7_1CE5, 8);
-    let mut batch = MachineBatch::from_snapshot(&snap);
-    for p in &progs {
-        batch.push(p);
-    }
-    for (i, (prog, got)) in progs.iter().zip(&batch.run()).enumerate() {
-        let want = snap.fork().run_one(prog, Backend::EventDriven);
-        assert_bit_identical(&format!("traced gadget #{i}"), got, &want);
-    }
-}
-
-#[test]
-fn lane_order_never_changes_results() {
-    let snap = warmed_snapshot(CpuConfig::coffee_lake().with_load_recording());
-    let progs = gadget_population(0x0D0E_0D0E, 10);
-    let run_in_order = |order: &[usize]| -> Vec<RunResult> {
-        let mut batch = MachineBatch::from_snapshot(&snap);
-        for &i in order {
-            batch.push(&progs[i]);
-        }
-        batch.run()
-    };
-    let forward: Vec<usize> = (0..progs.len()).collect();
-    let mut reversed = forward.clone();
-    reversed.reverse();
-    // Interleave from both ends: 0, 9, 1, 8, ...
-    let interleaved: Vec<usize> = forward
-        .iter()
-        .zip(reversed.iter())
-        .flat_map(|(&a, &b)| [a, b])
-        .take(progs.len())
-        .collect();
-    let base = run_in_order(&forward);
-    for (name, order) in [("reversed", &reversed), ("interleaved", &interleaved)] {
-        let permuted = run_in_order(order);
-        for (slot, &i) in order.iter().enumerate() {
-            assert_bit_identical(
-                &format!("{name} order, gadget #{i}"),
-                &permuted[slot],
-                &base[i],
-            );
-        }
-    }
-}
-
-#[test]
 fn forks_are_deterministic_and_isolated() {
     let snap = warmed_snapshot(CpuConfig::coffee_lake().with_load_recording());
     let prog = gadget_population(0xF0_4E5, 1).remove(0);
 
     // N forks of the same snapshot all see the same starting state, no
-    // matter how many siblings ran (and dirtied their caches) before them.
-    let mut batch = MachineBatch::from_snapshot(&snap);
-    for _ in 0..8 {
-        batch.push(&prog);
-    }
-    let lanes = batch.run();
+    // matter how many siblings ran (and dirtied their caches) before
+    // them: running one fork (stores, cache fills, predictor training)
+    // must not leak into the snapshot or into a live sibling.
     let solo = snap.fork().run_one(&prog, Backend::EventDriven);
-    for (i, lane) in lanes.iter().enumerate() {
-        assert_bit_identical(&format!("sibling lane #{i}"), lane, &solo);
+    let mut live = snap.fork();
+    for i in 0..8 {
+        let sibling = snap.fork().run_one(&prog, Backend::EventDriven);
+        assert_bit_identical(&format!("sibling fork #{i}"), &sibling, &solo);
     }
-
-    // Whole-machine forks are equally isolated: running one fork (stores,
-    // cache fills, predictor training) must not leak into the snapshot.
-    let first = snap.fork().run_one(&prog, Backend::EventDriven);
-    let second = snap.fork().run_one(&prog, Backend::EventDriven);
-    assert_bit_identical("fork isolation", &first, &second);
-}
-
-#[test]
-fn batch_is_reusable_across_rounds() {
-    let snap = warmed_snapshot(CpuConfig::coffee_lake().with_load_recording());
-    let progs = gadget_population(0xA5A5_A5A5, 6);
-    let mut batch = MachineBatch::from_snapshot(&snap);
-    let mut rounds = Vec::new();
-    for _ in 0..3 {
-        for p in &progs {
-            batch.push(p);
-        }
-        assert_eq!(batch.lanes(), progs.len());
-        rounds.push(batch.run());
-        assert!(batch.is_empty(), "run() drains the lanes");
-    }
-    // Every round forks the same snapshot: identical results, even though
-    // later rounds recycle the first round's lane allocations.
-    for (r, round) in rounds.iter().enumerate().skip(1) {
-        for (i, got) in round.iter().enumerate() {
-            assert_bit_identical(&format!("round {r}, gadget #{i}"), got, &rounds[0][i]);
-        }
-    }
+    let late = live.run_one(&prog, Backend::EventDriven);
+    assert_bit_identical("fork taken before its siblings ran", &late, &solo);
 }
 
 #[test]
@@ -309,66 +197,6 @@ fn run_many_matches_individual_forks_in_input_order() {
         let want = snap.fork().run_one(prog, Backend::EventDriven);
         assert_bit_identical(&format!("run_many gadget #{i}"), got, &want);
     }
-}
-
-#[test]
-fn push_from_mixes_heterogeneous_fork_sources() {
-    // Three snapshots with visibly different state: cold, warmed on the
-    // ALU kernel, warmed on the streaming kernel. One batch, lanes
-    // alternating sources — including the same program under different
-    // sources, which must share a decode table yet diverge in timing.
-    let cfg = CpuConfig::coffee_lake().with_load_recording();
-    let cold = Snapshot::cold(cfg, HierarchyConfig::coffee_lake());
-    let warm_alu = {
-        let mut cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
-        cpu.run_one(&alu_chain(200), Backend::EventDriven);
-        cpu.snapshot()
-    };
-    let warm_stream = {
-        let mut cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
-        cpu.run_one(&memory_stream(200), Backend::EventDriven);
-        cpu.snapshot()
-    };
-    let sources = [&cold, &warm_alu, &warm_stream];
-    let progs = gadget_population(0x9E37_79B9, 4);
-
-    let mut batch = MachineBatch::from_snapshot(&cold);
-    let mut expect = Vec::new();
-    for (i, prog) in progs.iter().enumerate() {
-        for src in sources {
-            batch.push_from(src, prog);
-            expect.push((i, src.fork().run_one(prog, Backend::EventDriven)));
-        }
-    }
-    let got = batch.run();
-    assert_eq!(got.len(), expect.len());
-    for (slot, ((i, want), got)) in expect.iter().zip(&got).enumerate() {
-        assert_bit_identical(&format!("push_from slot {slot} (gadget #{i})"), got, want);
-    }
-    // The warmed sources genuinely differ from cold for the streaming
-    // kernel — otherwise this test proves nothing about heterogeneity.
-    let cold_run = cold
-        .fork()
-        .run_one(&memory_stream(200), Backend::EventDriven);
-    let warm_run = warm_stream
-        .fork()
-        .run_one(&memory_stream(200), Backend::EventDriven);
-    assert_ne!(
-        cold_run.cycles, warm_run.cycles,
-        "sources indistinguishable"
-    );
-}
-
-#[test]
-#[should_panic(expected = "push_from lane snapshot must share the batch CpuConfig")]
-fn push_from_rejects_mismatched_cpu_configs() {
-    let base = Snapshot::cold(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
-    let other = Snapshot::cold(
-        CpuConfig::coffee_lake().with_countermeasure(Countermeasure::InOrder),
-        HierarchyConfig::coffee_lake(),
-    );
-    let mut batch = MachineBatch::from_snapshot(&base);
-    batch.push_from(&other, &alu_chain(10));
 }
 
 #[test]
@@ -445,7 +273,7 @@ fn snapshot_cache_evicts_least_recently_used_at_capacity() {
 }
 
 #[test]
-fn run_one_batched_leaves_the_parent_machine_untouched() {
+fn fork_leaves_the_parent_machine_untouched() {
     let mut cpu = Cpu::new(
         CpuConfig::coffee_lake().with_load_recording(),
         HierarchyConfig::coffee_lake(),
@@ -453,12 +281,12 @@ fn run_one_batched_leaves_the_parent_machine_untouched() {
     cpu.run_one(&alu_chain(200), Backend::EventDriven); // warm the parent
     let prog = gadget_population(0x5EED_5EED, 1).remove(0);
 
-    // Batched runs fork the parent's current state without advancing it:
-    // repeated calls keep observing the same state, and the event-driven
+    // Forks capture the parent's current state without advancing it:
+    // repeated forks keep observing the same state, and the parent's own
     // run that follows starts exactly where the forks did.
-    let b1 = cpu.run_one(&prog, Backend::Batched);
-    let b2 = cpu.run_one(&prog, Backend::Batched);
+    let f1 = cpu.snapshot().fork().run_one(&prog, Backend::EventDriven);
+    let f2 = cpu.snapshot().fork().run_one(&prog, Backend::EventDriven);
     let direct = cpu.run_one(&prog, Backend::EventDriven);
-    assert_bit_identical("repeated batched runs", &b1, &b2);
-    assert_bit_identical("batched vs event-driven", &b1, &direct);
+    assert_bit_identical("repeated forks", &f1, &f2);
+    assert_bit_identical("fork vs parent", &f1, &direct);
 }

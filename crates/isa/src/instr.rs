@@ -1,7 +1,6 @@
 //! Instruction forms, operands and functional-unit classes.
 
 use crate::reg::Reg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// ALU operation kinds.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The latency-relevant split (paper §6.4 and §7.2, after Agner Fog's
 /// tables) is: 1-cycle simple ops (`Add` … `Shr`), the 3-cycle pipelined
 /// `Mul`, and the 13–14-cycle *non-fully-pipelined* `Div`.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum AluOp {
     /// Wrapping 64-bit add (1 cycle).
     Add,
@@ -79,7 +78,7 @@ impl fmt::Display for AluOp {
 }
 
 /// Branch conditions (unsigned comparisons).
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum Cond {
     /// `a == b`
     Eq,
@@ -117,7 +116,7 @@ impl fmt::Display for Cond {
 }
 
 /// A register or immediate source operand.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum Operand {
     /// Register source.
     Reg(Reg),
@@ -157,7 +156,7 @@ impl fmt::Display for Operand {
 }
 
 /// An x86-flavoured memory operand: `base + index * scale + disp`.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub struct MemOperand {
     /// Base register, if any.
     pub base: Option<Reg>,
@@ -242,7 +241,7 @@ impl fmt::Display for MemOperand {
 
 /// Which class of functional unit executes an instruction (the CPU model
 /// maps classes to ports and latencies).
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum FuClass {
     /// 1-cycle integer ALU.
     Alu,
@@ -261,7 +260,7 @@ pub enum FuClass {
 }
 
 /// A single instruction.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum Instr {
     /// `dst = op(a, b)`.
     Alu {

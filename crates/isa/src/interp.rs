@@ -15,11 +15,10 @@ use crate::decode::{DecodedOp, DecodedProgram, SrcRef};
 use crate::mem::DataMemory;
 use crate::program::Program;
 use crate::reg::NUM_REGS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A committed memory access, in program order.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub enum MemEvent {
     /// Load from the address.
     Load(u64),
@@ -28,7 +27,7 @@ pub enum MemEvent {
 }
 
 /// Outcome of an interpreter run.
-#[derive(Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Eq, PartialEq)]
 pub struct InterpResult {
     /// Final architectural register file.
     pub regs: Vec<u64>,

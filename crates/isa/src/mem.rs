@@ -1,6 +1,5 @@
 //! Architectural data memory (values only — timing lives in `racer-mem`).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -52,7 +51,7 @@ impl Hasher for AddrHasher {
 /// m.write(0x1000, 7);
 /// assert_eq!(m.read(0x1000), 7);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DataMemory {
     map: HashMap<u64, u64, BuildHasherDefault<AddrHasher>>,
 }

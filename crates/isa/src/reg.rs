@@ -1,6 +1,5 @@
 //! Architectural registers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of architectural registers.
@@ -18,9 +17,7 @@ pub const NUM_REGS: usize = 256;
 /// assert_eq!(r.index(), 7);
 /// assert_eq!(r.to_string(), "r7");
 /// ```
-#[derive(
-    Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default)]
 pub struct Reg(u16);
 
 impl Reg {

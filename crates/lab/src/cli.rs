@@ -663,8 +663,9 @@ fn report(args: &[String]) -> Result<Outcome, LabError> {
 /// re-measured once and the per-workload best of the two runs is judged —
 /// throughput noise is one-sided (preemption only slows a run down), so
 /// taking the max filters noise without masking real regressions.
-/// Workloads present in only one side are reported but do not fail the
-/// gate.
+/// A baseline workload missing from the run fails the gate (a gated row
+/// must not vanish silently); a workload new to the run is reported but
+/// does not fail it.
 fn perf_check(args: &[String]) -> Result<Outcome, LabError> {
     let mut flags = parse_run_flags(args).map_err(LabError::usage)?;
     if !flags.names.is_empty() {
@@ -749,12 +750,12 @@ pub fn render_verdicts_markdown(verdicts: &[PerfVerdict], tolerance: f64) -> Str
             (Some(b), Some(m)) if b > 0.0 => format!("{:.2}×", m / b),
             _ => "–".to_string(),
         };
-        let verdict = if v.regressed {
+        let verdict = if v.measured_ips.is_none() {
+            "❌ **missing from run**"
+        } else if v.regressed {
             "❌ **REGRESSED**"
         } else if v.baseline_ips.is_none() {
             "🆕 new (no baseline)"
-        } else if v.measured_ips.is_none() {
-            "⚠️ missing from run"
         } else {
             "✅ ok"
         };
@@ -816,14 +817,15 @@ pub struct PerfVerdict {
     pub workload: String,
     /// Baseline committed-instrs/sec (None when newly added).
     pub baseline_ips: Option<f64>,
-    /// Measured committed-instrs/sec (None when dropped).
+    /// Measured committed-instrs/sec (None when missing from the run).
     pub measured_ips: Option<f64>,
     /// Whether this workload fails the gate.
     pub regressed: bool,
 }
 
-/// Compare per-workload `event_driven_instrs_per_sec`; a workload
-/// regresses when measured < baseline × (1 − tolerance).
+/// Compare per-workload `event_driven_instrs_per_sec`; a baseline workload
+/// regresses when it is missing from the run or measured < baseline ×
+/// (1 − tolerance).
 pub fn compare_throughput(
     baseline: &Value,
     measured: &Value,
@@ -857,7 +859,7 @@ pub fn compare_throughput(
             workload: name.clone(),
             baseline_ips: Some(*b),
             measured_ips: m,
-            regressed: m.is_some_and(|m| m < b * (1.0 - tolerance)),
+            regressed: m.is_none_or(|m| m < b * (1.0 - tolerance)),
         });
     }
     for (name, m) in &meas {
@@ -885,12 +887,12 @@ fn render_verdicts(verdicts: &[PerfVerdict], tolerance: f64) -> String {
             (Some(b), Some(m)) if b > 0.0 => format!("{:.2}", m / b),
             _ => "-".to_string(),
         };
-        let verdict = if v.regressed {
+        let verdict = if v.measured_ips.is_none() {
+            "MISSING from run"
+        } else if v.regressed {
             "REGRESSED"
         } else if v.baseline_ips.is_none() {
             "new (no baseline)"
-        } else if v.measured_ips.is_none() {
-            "missing from run"
         } else {
             "ok"
         };
@@ -966,12 +968,24 @@ mod tests {
     }
 
     #[test]
-    fn added_and_dropped_workloads_do_not_fail_the_gate() {
-        let baseline = doc(vec![wl("gone", 100.0)]);
-        let measured = doc(vec![wl("new", 5.0)]);
+    fn added_workloads_do_not_fail_the_gate() {
+        let baseline = doc(vec![wl("kept", 100.0)]);
+        let measured = doc(vec![wl("kept", 100.0), wl("new", 5.0)]);
         let v = compare_throughput(&baseline, &measured, 0.30).unwrap();
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|x| !x.regressed));
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_run_fails_the_gate() {
+        let baseline = doc(vec![wl("kept", 100.0), wl("gone", 100.0)]);
+        let measured = doc(vec![wl("kept", 100.0)]);
+        let v = compare_throughput(&baseline, &measured, 0.30).unwrap();
+        let gone = v.iter().find(|x| x.workload == "gone").unwrap();
+        assert_eq!(gone.measured_ips, None);
+        assert!(gone.regressed, "a vanished gated row is a regression");
+        assert!(!v.iter().find(|x| x.workload == "kept").unwrap().regressed);
+        assert!(render_verdicts(&v, 0.30).contains("gate FAILED: 1 workload(s) regressed"));
     }
 
     #[test]
@@ -1027,7 +1041,7 @@ mod tests {
                 workload: "gone-wl".into(),
                 baseline_ips: Some(2e6),
                 measured_ips: None,
-                regressed: false,
+                regressed: true,
             },
         ];
         let md = render_verdicts_markdown(&verdicts, 0.30);
@@ -1035,8 +1049,8 @@ mod tests {
         assert!(md.contains("| ok-wl | 10.00M | 12.00M | 1.20× | ✅ ok |"));
         assert!(md.contains("**REGRESSED**"));
         assert!(md.contains("new (no baseline)"));
-        assert!(md.contains("missing from run"));
-        assert!(md.contains("Gate **FAILED**: 1 workload(s) regressed."));
+        assert!(md.contains("| gone-wl | 2.00M | – | – | ❌ **missing from run** |"));
+        assert!(md.contains("Gate **FAILED**: 2 workload(s) regressed."));
         let passed = render_verdicts_markdown(&verdicts[..1], 0.30);
         assert!(passed.contains("Gate **passed**."));
     }

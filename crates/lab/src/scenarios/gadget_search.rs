@@ -2,7 +2,7 @@
 //!
 //! Drives `hacky_racers::gadget_search`: a MAP-Elites-style search over
 //! the racing-gadget template grammar, every candidate scored by fanning
-//! its lowered target ladder through one warmed lockstep batch. The
+//! its lowered target ladder on forks of one warmed snapshot. The
 //! payload reports the hand-written paper-racer baseline, the
 //! per-generation log, the final novelty archive, the best and
 //! finest-resolution discoveries (with the discovered-vs-hand-written

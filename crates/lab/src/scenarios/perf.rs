@@ -1,7 +1,7 @@
 //! Simulator-throughput baseline: committed instructions per host second
 //! for the event-driven scheduler vs. the retained scan-based reference
 //! scheduler, across the standard workload suite — plus sweep-throughput
-//! rows comparing the fork-based batch engine against the classic
+//! rows comparing warm-snapshot forks against the classic
 //! fresh-machine-per-point sweep, and `scenario-e2e` rows timing whole
 //! experiments under the batched vs per-machine trial paths.
 //!
@@ -9,7 +9,7 @@
 //! document, so the legacy `perf_baseline` binary can keep refreshing the
 //! baseline and `racer-lab perf-check` can diff against it. Sweep rows
 //! reuse the same column names (`event_driven_instrs_per_sec` holds the
-//! batched engine, `reference_instrs_per_sec` the per-machine sweep), so
+//! forked sweep, `reference_instrs_per_sec` the per-machine sweep), so
 //! the existing perf gate covers them with no schema change.
 
 use super::header;
@@ -19,7 +19,8 @@ use crate::registry::{RunContext, Scenario, ScenarioOutput};
 use hacky_racers::experiments::{spectre_eval, timer_mitigations, TrialPath};
 use hacky_racers::gadget_search::{eval_cpu_config, FitnessConfig, GadgetTemplate, SplitMix64};
 use racer_cpu::workloads::{
-    alu_chain, measure_lockstep, measure_sweep, measure_workload, memory_stream, standard_suite,
+    alu_chain, measure_sweep_forked, measure_sweep_fresh, measure_workload, memory_stream,
+    standard_suite,
 };
 use racer_cpu::{Backend, Cpu};
 use racer_mem::HierarchyConfig;
@@ -28,8 +29,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Untimed warmup executions each sweep point needs before its timed run.
-/// Per-machine sweeps pay this per point; the batch engine pays it once
-/// and forks — which is exactly the gap the sweep rows measure.
+/// Per-machine sweeps pay this per point; forked sweeps pay it once —
+/// which is exactly the gap the sweep rows measure.
 const SWEEP_WARMUP: usize = 24;
 
 /// Loop iterations for the sweep-row programs. Fixed (not scaled by
@@ -42,7 +43,7 @@ const SWEEP_ITERS: i64 = 2_000;
 /// runs are timer-independent, so the batched trial path runs the
 /// (rounds × trial × bit) grid once and scores it under every timer,
 /// while the per-machine path re-runs the grid per timer — a structural
-/// ~`E2E_TIMERS.len()`× collapse on top of lockstep batching.
+/// ~`E2E_TIMERS.len()`× collapse on top of forking prepared machines.
 const E2E_TIMERS: [&str; 5] = ["5us", "100us", "5us+jitter", "fuzzy-5us", "1ms"];
 
 /// Magnifier round counts for the `e2e-timer-mitigations` row. Fixed
@@ -135,28 +136,28 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
     );
     let _ = writeln!(
         text,
-        "# workload            batch-forked   per-machine  speedup"
+        "# workload                  forked   per-machine  speedup"
     );
     let sweeps = [
         (
             "sweep-alu-chain",
-            "warmed sweep: batch-engine forks (event-driven col) vs fresh machine per point",
+            "warmed sweep: snapshot forks (event-driven col) vs fresh machine per point",
             alu_chain(SWEEP_ITERS),
         ),
         (
             "sweep-memory-stream",
-            "warmed cache-heavy sweep: batch-engine forks vs fresh machine per point",
+            "warmed cache-heavy sweep: snapshot forks vs fresh machine per point",
             memory_stream(SWEEP_ITERS),
         ),
     ];
     for (name, description, prog) in &sweeps {
-        let batched = measure_sweep(prog, SWEEP_WARMUP, sweep_points, Backend::Batched);
-        let per_machine = measure_sweep(prog, SWEEP_WARMUP, sweep_points, Backend::EventDriven);
+        let forked = measure_sweep_forked(prog, SWEEP_WARMUP, sweep_points);
+        let per_machine = measure_sweep_fresh(prog, SWEEP_WARMUP, sweep_points);
         assert_eq!(
             (
-                batched.result.cycles,
-                batched.result.committed,
-                &batched.result.regs
+                forked.result.cycles,
+                forked.result.committed,
+                &forked.result.regs
             ),
             (
                 per_machine.result.cycles,
@@ -165,12 +166,12 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
             ),
             "sweep strategies diverged on {name}"
         );
-        let speedup = batched.instrs_per_sec / per_machine.instrs_per_sec;
+        let speedup = forked.instrs_per_sec / per_machine.instrs_per_sec;
         let _ = writeln!(
             text,
             "{:<21} {:>10.2}M {:>10.2}M {:>8.1}x",
             name,
-            batched.instrs_per_sec / 1e6,
+            forked.instrs_per_sec / 1e6,
             per_machine.instrs_per_sec / 1e6,
             speedup,
         );
@@ -178,15 +179,12 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
             Value::object()
                 .with("workload", *name)
                 .with("description", *description)
-                .with("dyn_instrs_per_run", batched.result.committed)
-                .with("cycles_per_run", batched.result.cycles)
-                .with("mispredicts_per_run", batched.result.mispredicts)
-                .with("squashed_per_run", batched.result.squashed_instrs)
-                .with("ipc", round3(batched.result.ipc()))
-                .with(
-                    "event_driven_instrs_per_sec",
-                    batched.instrs_per_sec.round(),
-                )
+                .with("dyn_instrs_per_run", forked.result.committed)
+                .with("cycles_per_run", forked.result.cycles)
+                .with("mispredicts_per_run", forked.result.mispredicts)
+                .with("squashed_per_run", forked.result.squashed_instrs)
+                .with("ipc", round3(forked.result.ipc()))
+                .with("event_driven_instrs_per_sec", forked.instrs_per_sec.round())
                 .with(
                     "reference_instrs_per_sec",
                     per_machine.instrs_per_sec.round(),
@@ -194,63 +192,13 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
                 .with("speedup", round2(speedup)),
         );
     }
-    // Lane-scaling row: 64 lockstep lanes vs 64 whole-machine forks from
-    // the same warmed snapshot, warmup *outside* the timed region on both
-    // sides — the engine's stepping throughput itself, with no warmup
-    // amortisation in the ratio. Guards the COW-lane + adaptive-slice
-    // scaling fix: lockstep must at least match forks at 64 lanes.
-    const LOCKSTEP_LANES: usize = 64;
-    let prog = memory_stream(SWEEP_ITERS);
-    let lockstep = measure_lockstep(&prog, LOCKSTEP_LANES, Backend::Batched);
-    let forked = measure_lockstep(&prog, LOCKSTEP_LANES, Backend::EventDriven);
-    assert_eq!(
-        (
-            lockstep.result.cycles,
-            lockstep.result.committed,
-            &lockstep.result.regs
-        ),
-        (
-            forked.result.cycles,
-            forked.result.committed,
-            &forked.result.regs
-        ),
-        "lockstep diverged from whole-machine forks"
-    );
-    let ratio = lockstep.instrs_per_sec / forked.instrs_per_sec;
-    let _ = writeln!(
-        text,
-        "# lane scaling ({LOCKSTEP_LANES} lanes, warmup untimed): lockstep vs forked machines"
-    );
-    let _ = writeln!(
-        text,
-        "lockstep-64lane       {:>10.2}M {:>10.2}M {:>8.2}x",
-        lockstep.instrs_per_sec / 1e6,
-        forked.instrs_per_sec / 1e6,
-        ratio,
-    );
-    rows.push(
-        Value::object()
-            .with("workload", "lockstep-64lane")
-            .with(
-                "description",
-                "64-lane lockstep stepping (event-driven col) vs 64 whole-machine forks, warmup untimed",
-            )
-            .with("dyn_instrs_per_run", lockstep.result.committed)
-            .with("cycles_per_run", lockstep.result.cycles)
-            .with("mispredicts_per_run", lockstep.result.mispredicts)
-            .with("squashed_per_run", lockstep.result.squashed_instrs)
-            .with("ipc", round3(lockstep.result.ipc()))
-            .with("event_driven_instrs_per_sec", lockstep.instrs_per_sec.round())
-            .with("reference_instrs_per_sec", forked.instrs_per_sec.round())
-            .with("speedup", round2(ratio)),
-    );
     // Search-throughput row: gadget-search candidate evaluation, the
     // batched path (warm one machine, fan every lowered program through
     // `Snapshot::run_many`) vs the pre-batching shape (fresh machine +
     // full warmup per program). The snapshot is built inline — not via
     // `SnapshotCache` — so the batched column pays its warmup inside the
-    // timed region too; the gap is warmup amortisation plus lockstep
-    // decode sharing, exactly what the search loop banks per generation.
+    // timed region too; the gap is warmup amortisation, exactly what the
+    // search loop banks per generation.
     {
         let fit = FitnessConfig::default();
         let cfg = eval_cpu_config(fit.cycle_budget);

@@ -1,6 +1,5 @@
 //! Byte addresses, cache-line addresses and set-index math.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of a cache line in bytes. Fixed at 64, matching essentially every
@@ -16,15 +15,11 @@ pub const LINE_BYTES: u64 = 64;
 /// assert_eq!(a.line_offset(), 2);
 /// assert_eq!(a.line().base_addr(), Addr(2 * LINE_BYTES));
 /// ```
-#[derive(
-    Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default)]
 pub struct Addr(pub u64);
 
 /// A cache-line address: the byte address divided by [`LINE_BYTES`].
-#[derive(
-    Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default)]
 pub struct LineAddr(pub u64);
 
 impl Addr {

@@ -5,10 +5,9 @@ use crate::cache::{Cache, CacheConfig};
 use crate::stats::HierarchyStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The deepest level that serviced an access.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Ord, PartialOrd, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Ord, PartialOrd, Hash)]
 pub enum HitLevel {
     /// L1 data cache hit.
     L1,
@@ -33,7 +32,7 @@ impl std::fmt::Display for HitLevel {
 }
 
 /// What kind of access is being performed.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum AccessKind {
     /// Demand load.
     Load,
@@ -47,7 +46,7 @@ pub enum AccessKind {
 }
 
 /// Result of a hierarchy access.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct AccessOutcome {
     /// Deepest level that serviced the access.
     pub level: HitLevel,
@@ -61,7 +60,7 @@ pub struct AccessOutcome {
 }
 
 /// Configuration for a [`Hierarchy`].
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 data cache geometry.
     pub l1d: CacheConfig,
@@ -131,9 +130,8 @@ impl HierarchyConfig {
 /// Cloning a `Hierarchy` is cheap and copy-on-write: each level's storage
 /// is chunked behind shared `Arc`s (see [`crate::Cache`]), so a clone
 /// copies chunk pointers and only materialises private chunks as its
-/// access stream diverges from the original's. The batch engine forks its
-/// lanes this way and sizes lockstep slices from
-/// [`Hierarchy::private_bytes_vs`].
+/// access stream diverges from the original's. Snapshot forks rely on
+/// this; [`Hierarchy::private_bytes_vs`] measures a clone's private part.
 ///
 /// ```
 /// use racer_mem::{Addr, Hierarchy, HierarchyConfig, HitLevel};

@@ -1,10 +1,9 @@
 //! Hit/miss/eviction counters for caches and the hierarchy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Event counters for a single cache level.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq)]
 pub struct CacheStats {
     /// Demand accesses that found their line resident.
     pub hits: u64,
@@ -70,7 +69,7 @@ impl fmt::Display for CacheStats {
 }
 
 /// Aggregated counters for a whole [`Hierarchy`](crate::Hierarchy).
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq)]
 pub struct HierarchyStats {
     /// L1 data cache counters.
     pub l1d: CacheStats,

@@ -1,8 +1,7 @@
 //! Dependency-free JSON for experiment results.
 //!
-//! The workspace builds offline and the vendored `serde` is a no-op stub
-//! (its derives expand to nothing), so structured output needs its own
-//! machinery. This crate is that machinery: an order-preserving [`Value`]
+//! The workspace builds offline with no serde, so structured output needs
+//! its own machinery. This crate is that machinery: an order-preserving [`Value`]
 //! model, a deterministic writer, and a small strict parser — enough to
 //! emit every `racer-lab` scenario report and to read committed baselines
 //! like `BENCH_pipeline.json` back for regression gating.

@@ -3,11 +3,10 @@
 //! Used to regenerate Figure 10's transmit-0/transmit-1 distributions, the
 //! §7.3 accuracy and leak-rate numbers, and the stage breakdowns of Figure 7.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Basic summary statistics over a sample.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub n: usize,
@@ -60,7 +59,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(h.count(0), 2);
 /// assert_eq!(h.count(4), 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     lo: i64,
