@@ -15,7 +15,8 @@
 //! | §8 countermeasure matrix | [`countermeasures`] |
 //!
 //! Every driver takes explicit scale parameters so tests can run shrunken
-//! versions while the `racer-bench` binaries run paper-scale sweeps.
+//! versions while `racer-lab run <scenario> --paper` runs paper-scale
+//! sweeps.
 
 use crate::machine::Machine;
 use racer_cpu::batch::par_map;

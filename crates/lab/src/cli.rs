@@ -296,9 +296,13 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
             "--baseline" => flags.baseline = PathBuf::from(value_of("--baseline")?),
             "--tolerance" => {
                 let v = value_of("--tolerance")?;
+                // The gate flags `measured < baseline * (1 - tolerance)`:
+                // NaN or >= 1 would pass every run, a negative value fail it.
                 flags.tolerance = v
                     .parse()
-                    .map_err(|_| format!("--tolerance expects a number, got {v:?}"))?;
+                    .ok()
+                    .filter(|t: &f64| (0.0..1.0).contains(t))
+                    .ok_or_else(|| format!("--tolerance expects a number in [0, 1), got {v:?}"))?;
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             name => flags.names.push(name.to_string()),
@@ -919,31 +923,6 @@ fn render_verdicts(verdicts: &[PerfVerdict], tolerance: f64) -> String {
     s
 }
 
-/// Legacy-binary compatibility shim: run one scenario with the old
-/// `[--quick]` interface, print its text, write `results/<name>.json`, and
-/// hand the report back (the perf binary also refreshes the committed
-/// baseline from it).
-pub fn shim(name: &str) -> Report {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::default()
-    };
-    let sc = crate::registry::find(name)
-        .unwrap_or_else(|| panic!("shim for unregistered scenario {name}"));
-    let report = run_scenario(&sc, &opts).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    });
-    println!("{}", report.text.trim_end());
-    match report.write(Path::new("results")) {
-        Ok(path) => println!("# wrote {}", path.display()),
-        Err(e) => eprintln!("# warning: could not write results file: {e}"),
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1128,5 +1107,15 @@ mod tests {
             parse_run_flags(&["--timeout-secs".to_string(), "0".to_string()]).is_err(),
             "a zero timeout would fail every scenario"
         );
+    }
+
+    #[test]
+    fn tolerance_outside_the_unit_interval_is_rejected() {
+        let tol = |v: &str| parse_run_flags(&["--tolerance".to_string(), v.to_string()]);
+        assert_eq!(tol("0").unwrap().tolerance, 0.0);
+        assert_eq!(tol("0.3").unwrap().tolerance, 0.3);
+        for bad in ["nan", "inf", "-inf", "1", "1.5", "-0.1", "x"] {
+            assert!(tol(bad).is_err(), "--tolerance {bad} must be rejected");
+        }
     }
 }

@@ -30,9 +30,6 @@
 //! scenario, provenance blocks, quick-vs-paper deltas) — the registry
 //! supplies page order and titles.
 //!
-//! The legacy `racer-bench` binaries survive as one-line [`shim`]s over
-//! this registry, so existing plotting workflows keep working.
-//!
 //! The pipeline is fault-tolerant end to end: every failure is a typed
 //! [`error::LabError`] with a documented exit code, panicking trials are
 //! crash-isolated into labelled failed cells ([`runner`]), all artefacts
@@ -53,7 +50,7 @@ pub mod runner;
 pub mod scenarios;
 
 pub use checkpoint::Checkpoint;
-pub use cli::{shard_select, shim};
+pub use cli::shard_select;
 pub use error::LabError;
 pub use fsio::write_atomic;
 pub use params::{ParamSpec, ParamValue, Scale};

@@ -85,7 +85,8 @@ mod tests {
         );
         let unique: HashSet<&&str> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "duplicate scenario names");
-        // Every legacy racer-bench binary must stay addressable by name.
+        // Every paper figure, table and evaluation keeps its name: scripts
+        // and CI address scenarios by these strings.
         for legacy in [
             "countermeasures_eval",
             "detection_eval",

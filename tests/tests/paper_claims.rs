@@ -1,11 +1,16 @@
 //! The paper's headline claims, each as one executable assertion, at
-//! reduced scale (the `racer-bench` binaries run the full versions).
+//! reduced scale (`racer-lab run <scenario> --paper` runs the full versions).
 
 use hacky_racers::experiments::{
     countermeasures, distribution, ev_eval, granularity, magnifier_sweeps, par_seq,
     repetition_figure,
 };
-use racer_isa::AluOp;
+use hacky_racers::machine::Machine;
+use hacky_racers::magnify::{PlruInput, PlruMagnifier};
+use hacky_racers::path::{emit_sync_head, PathSpec};
+use racer_cpu::CpuConfig;
+use racer_isa::{AluOp, Asm, MemOperand};
+use racer_mem::{CacheConfig, HierarchyConfig, ReplacementKind};
 
 /// §1/§5: ILP races measure arbitrary fine-grained timing differences.
 #[test]
@@ -47,6 +52,83 @@ fn claim_prefetching_lifts_the_set_cap() {
     assert!(
         with_growth > without_growth,
         "prefetch growth {with_growth:.2} vs capped {without_growth:.2}"
+    );
+}
+
+/// Issue-cycle gap between the terminal loads of two equal 20-add paths,
+/// seeded either by the §4.1 cache-miss synchronization head or by a plain
+/// immediate.
+fn sync_head_gap(with_head: bool) -> u64 {
+    let mut m = Machine::baseline();
+    let layout = m.layout();
+    let mut asm = Asm::new();
+    let seed = if with_head {
+        emit_sync_head(&mut asm, layout.sync)
+    } else {
+        let r = asm.reg();
+        asm.mov_imm(r, 0);
+        r
+    };
+    let rm = PathSpec::op_chain(AluOp::Add, 20).emit(&mut asm, seed);
+    let rb = PathSpec::op_chain(AluOp::Add, 20).emit(&mut asm, seed);
+    let va = asm.reg();
+    asm.load(va, MemOperand::base_disp(rm, 0x0700_0000));
+    let vb = asm.reg();
+    asm.load(vb, MemOperand::base_disp(rb, 0x0700_2000));
+    asm.halt();
+    let prog = asm.assemble().expect("sync-head program assembles");
+    m.flush(layout.sync);
+    let r = m.run(&prog);
+    let issue = |addr: u64| {
+        r.loads
+            .iter()
+            .find(|l| l.addr == addr)
+            .map(|l| l.issue_cycle)
+            .unwrap_or(0)
+    };
+    issue(0x0700_0000).abs_diff(issue(0x0700_2000))
+}
+
+/// §4.1: the cache-miss synchronization head starts both paths of a race
+/// on the same cycle; without it, equal paths finish apart.
+#[test]
+fn claim_sync_head_aligns_equal_paths() {
+    let with_head = sync_head_gap(true);
+    let without_head = sync_head_gap(false);
+    assert_eq!(with_head, 0, "gap with the head: {with_head} cycles");
+    assert!(
+        with_head < without_head,
+        "gap with head {with_head} vs without {without_head}"
+    );
+}
+
+/// Presence/absence margin of the PLRU magnifier with the L1D on `kind`.
+fn plru_margin(kind: ReplacementKind) -> u64 {
+    let mut hier = HierarchyConfig::small_plru();
+    hier.l1d = CacheConfig {
+        replacement: kind,
+        ..hier.l1d
+    };
+    let mut m = Machine::with(CpuConfig::coffee_lake().with_load_recording(), hier);
+    let mag = PlruMagnifier::with(m.layout(), 5, 300);
+    mag.prepare(&mut m);
+    let absent = mag.measure(&mut m, PlruInput::PresenceAbsence);
+    mag.prepare(&mut m);
+    let a = mag.line_a(&m);
+    m.warm(a);
+    let present = mag.measure(&mut m, PlruInput::PresenceAbsence);
+    present.saturating_sub(absent)
+}
+
+/// §6.1: the PLRU magnifier depends on tree-PLRU's replacement quirk; on
+/// true LRU the presence/absence margin collapses.
+#[test]
+fn claim_plru_magnifier_needs_tree_plru() {
+    let plru = plru_margin(ReplacementKind::TreePlru);
+    let lru = plru_margin(ReplacementKind::Lru);
+    assert!(
+        plru >= 10 * lru,
+        "margin on tree-PLRU {plru} vs true LRU {lru} cycles"
     );
 }
 
