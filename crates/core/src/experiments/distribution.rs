@@ -3,7 +3,7 @@
 //! transmit-1 — "there is still almost no overlap between the two
 //! transmissions".
 
-use crate::experiments::{run_lanes_batched, TrialPath};
+use crate::experiments::{plru_trial_machine, run_lanes_batched, TrialPath};
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
@@ -98,21 +98,9 @@ pub fn figure10_on(trials: usize, rounds: usize, path: TrialPath) -> (Distributi
 }
 
 /// Fresh noisy machine for a (trial, a_first) cell: DRAM jitter varies
-/// run times. Figure 3.1 set state prepared, raced lines warmed in
-/// transmit order; pokes only, so the clock stays at zero.
+/// run times; raced lines warmed in transmit order.
 fn prepared_machine(t: usize, a_first: bool, rounds: usize) -> Machine {
-    let mut m = Machine::noisy(0xF1660 + t as u64 * 7 + u64::from(a_first));
-    let mag = PlruMagnifier::with(m.layout(), 5, rounds);
-    mag.prepare(&mut m);
-    let (a, b) = (mag.line_a(&m), mag.line_b(&m));
-    if a_first {
-        m.warm(a);
-        m.warm(b);
-    } else {
-        m.warm(b);
-        m.warm(a);
-    }
-    m
+    plru_trial_machine(0xF1660 + t as u64 * 7 + u64::from(a_first), a_first, rounds)
 }
 
 /// Record one cell's observation in milliseconds on the transmit-1 or

@@ -19,8 +19,9 @@
 //! sweeps.
 
 use crate::machine::Machine;
+use crate::magnify::PlruMagnifier;
 use racer_cpu::batch::par_map;
-use racer_cpu::{Backend, RunResult};
+use racer_cpu::{Backend, CpuConfig, RunResult};
 use racer_isa::Program;
 
 /// Which execution strategy carries an experiment's heavy trial runs.
@@ -49,6 +50,27 @@ pub(crate) fn run_lanes_batched(lanes: &[(Machine, &Program)]) -> Vec<RunResult>
     par_map(lanes, |(m, p)| {
         m.snapshot().fork().run_one(p, Backend::EventDriven)
     })
+}
+
+/// The fresh noisy machine of one PLRU reorder-magnifier trial (Figure 10
+/// and the timer-mitigation sweep): DRAM jitter from `seed`, the Figure
+/// 3.1 set state prepared for `rounds`, and the raced lines warmed A then
+/// B (`a_first`) or B then A. Pokes only — the machine's clock stays at
+/// zero. The trials read only cycles and commit counts, so the core
+/// records counters, not load events.
+pub(crate) fn plru_trial_machine(seed: u64, a_first: bool, rounds: usize) -> Machine {
+    let mut m = Machine::with(CpuConfig::coffee_lake(), Machine::noisy_hierarchy(seed));
+    let mag = PlruMagnifier::with(m.layout(), 5, rounds);
+    mag.prepare(&mut m);
+    let (a, b) = (mag.line_a(&m), mag.line_b(&m));
+    if a_first {
+        m.warm(a);
+        m.warm(b);
+    } else {
+        m.warm(b);
+        m.warm(a);
+    }
+    m
 }
 
 pub mod countermeasures;

@@ -9,7 +9,7 @@
 //! classification accuracy. Because PLRU magnification is unbounded, there
 //! is a round count that defeats *every* finite resolution.
 
-use crate::experiments::{run_lanes_batched, TrialPath};
+use crate::experiments::{plru_trial_machine, run_lanes_batched, TrialPath};
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
@@ -174,22 +174,25 @@ fn sweep_batched(
             }
         }
     }
-    let results = if cells.is_empty() {
-        Vec::new()
-    } else {
-        let progs: Vec<Program> = round_counts
+    let progs: Vec<Program> = match cells.first() {
+        Some((m, _)) => round_counts
             .iter()
             .map(|&rounds| {
-                let mag = PlruMagnifier::with(cells[0].0.layout(), 5, rounds);
-                mag.program(&cells[0].0, PlruInput::Reorder)
+                PlruMagnifier::with(m.layout(), 5, rounds).program(m, PlruInput::Reorder)
             })
-            .collect();
-        let lanes: Vec<(Machine, &Program)> =
-            cells.into_iter().map(|(m, ri)| (m, &progs[ri])).collect();
-        run_lanes_batched(&lanes)
+            .collect(),
+        None => Vec::new(),
     };
+    let lanes: Vec<(Machine, &Program)> =
+        cells.into_iter().map(|(m, ri)| (m, &progs[ri])).collect();
+    let results = run_lanes_batched(&lanes);
     let committed = results.iter().map(|r| r.committed).sum();
-    let cfg = racer_cpu::CpuConfig::coffee_lake().with_load_recording();
+    // Each lane's run time on its own machine's clock.
+    let run_ns: Vec<f64> = lanes
+        .iter()
+        .zip(&results)
+        .map(|((m, _), r)| m.cpu().config().cycles_to_ns(r.cycles))
+        .collect();
     let mut out = Vec::new();
     for &tname in timers {
         for (ri, &rounds) in round_counts.iter().enumerate() {
@@ -200,7 +203,7 @@ fn sweep_batched(
                 for bit in [false, true] {
                     let idx = (ri * scored.len() + ti) * 2 + usize::from(bit);
                     // Exactly `run_timed` on a zero-clock machine.
-                    let obs = timer.measure(0.0, cfg.cycles_to_ns(results[idx].cycles));
+                    let obs = timer.measure(0.0, run_ns[idx]);
                     if bit {
                         ones.push(obs);
                     } else {
@@ -214,22 +217,10 @@ fn sweep_batched(
     (out, committed)
 }
 
-/// The fresh noisy machine of a (trial, bit, rounds) cell, with the
-/// Figure 3.1 set state prepared and the raced lines warmed in bit order.
-/// Pokes only — the machine's clock stays at zero.
+/// The fresh noisy machine of a (trial, bit, rounds) cell; a 1 bit warms
+/// the raced lines A then B.
 fn prepared_machine(t: usize, bit: bool, rounds: usize) -> Machine {
-    let mut m = Machine::noisy(t as u64 * 31 + u64::from(bit));
-    let mag = PlruMagnifier::with(m.layout(), 5, rounds);
-    mag.prepare(&mut m);
-    let (a, b) = (mag.line_a(&m), mag.line_b(&m));
-    if bit {
-        m.warm(a);
-        m.warm(b);
-    } else {
-        m.warm(b);
-        m.warm(a);
-    }
-    m
+    plru_trial_machine(t as u64 * 31 + u64::from(bit), bit, rounds)
 }
 
 /// Fold one (timer, rounds) cell's observations into a point. A shard

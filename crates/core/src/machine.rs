@@ -20,8 +20,8 @@ use racer_time::Timer;
 ///   §6.3 arbitrary-replacement configuration;
 /// * [`Machine::small_llc`] — a scaled-down inclusive LLC for the §7.4
 ///   eviction-set experiment;
-/// * [`Machine::noisy`] — DRAM jitter enabled, for distribution experiments
-///   (Figure 10).
+/// * [`Machine::noisy`] — DRAM jitter enabled, for noisy attack runs such
+///   as SpectreBack (Figure 10's trial machines share its hierarchy).
 #[derive(Debug)]
 pub struct Machine {
     cpu: Cpu,
@@ -79,10 +79,19 @@ impl Machine {
     /// — caching would only churn the LRU. (Same for
     /// [`Machine::random_l1`].)
     pub fn noisy(seed: u64) -> Self {
+        Self::with(
+            CpuConfig::coffee_lake().with_load_recording(),
+            Self::noisy_hierarchy(seed),
+        )
+    }
+
+    /// The hierarchy of [`Machine::noisy`]: tree-PLRU L1 with DRAM jitter
+    /// drawn from `seed`.
+    pub(crate) fn noisy_hierarchy(seed: u64) -> HierarchyConfig {
         let mut hier = HierarchyConfig::small_plru();
         hier.memory_jitter = 30;
         hier.seed = seed;
-        Self::with(CpuConfig::coffee_lake().with_load_recording(), hier)
+        hier
     }
 
     /// 64-set 8-way random-replacement L1 (paper §6.3's configuration).

@@ -68,14 +68,17 @@
 //!   branch?") and conservative store disambiguation come from small
 //!   in-flight queues (`spec_branches`, `store_q`) instead of prefix walks
 //!   of the ROB.
-//! * **Pre-decoded µop tables.** Every stage indexes the run's
-//!   [`DecodedProgram`] by pc instead of pattern-matching
-//!   [`Instr`](racer_isa::Instr): FU
-//!   classes are dense indices, operand reads are slot lookups (no
+//! * **Pre-decoded µop tables, decoded once per program.** Every stage
+//!   indexes the program's own µop table ([`Program::decoded`]) by pc
+//!   instead of pattern-matching [`Instr`](racer_isa::Instr): FU classes
+//!   are dense indices, operand reads are slot lookups (no
 //!   register-compare walks), destinations/source lists/branch targets are
-//!   precomputed. ROB slots do not store the instruction at all. (The
-//!   reference scheduler deliberately keeps executing from `Instr`, so the
-//!   differential suite cross-checks the decoder too.)
+//!   precomputed. ROB slots do not store the instruction at all. The table
+//!   is built on the program's first run and shared by its clones, so a
+//!   sweep that runs one program on many forks decodes it once, not once
+//!   per run. (The reference scheduler reads the same table for rename but
+//!   deliberately keeps executing from `Instr`, so the differential suite
+//!   cross-checks the decoder too.)
 //! * **Load stall pool.** A load that fails issue (MSHR capacity, store
 //!   disambiguation, delay-on-miss) parks in `stalled_loads` and is
 //!   re-attempted only when a wake condition fires — the earliest
@@ -88,12 +91,26 @@
 //!   fills and MSHR traffic are cross-thread wake sources the per-thread
 //!   event model cannot see, and per-cycle attempts are exactly what the
 //!   reference scheduler does anyway.
+//! * **Idle-cycle fast-forward.** Long dependent chains spend most of
+//!   their simulated time waiting on a miss or a divide. Each stage
+//!   reports whether it acted; after a single-thread cycle in which none
+//!   did, the loop jumps straight to the earliest cycle at which anything
+//!   can change. Exactness: an idle cycle leaves the state unchanged, so
+//!   the next cycle replays it unless a clock-dependent predicate flips,
+//!   and every such predicate is an event source of
+//!   `Pipeline::next_event_cycle` — the next non-empty completion-wheel
+//!   bucket, a `far` completion entering the wheel horizon, the stall
+//!   pool's MSHR wake and 64-cycle fallback drain (while it holds loads),
+//!   the fetch-queue front becoming ready, a divider unit freeing, the
+//!   next `interrupt_interval` boundary and `max_run_cycles`. The skipped cycles would each have done nothing,
+//!   so timing is unchanged (the differential suite drives every source).
+//!   SMT runs and the reference scheduler step every cycle.
 //! * **No steady-state allocation.** All scheduling structures live in
 //!   the per-thread [`ThreadCtx`] structs, owned by [`Cpu`] and reused
-//!   across [`Cpu::run`] calls;
-//!   sources use inline `[Src; 3]` storage (no instruction has more than
-//!   three; the register names live in the decoded table), and the
-//!   `loads`/`trace` vectors are only touched when
+//!   across [`Cpu::run`] calls; a run allocates no µop table either (the
+//!   program already owns it). Sources use inline `[Src; 3]` storage (no
+//!   instruction has more than three; the register names live in the
+//!   decoded table), and the `loads`/`trace` vectors are only touched when
 //!   [`CpuConfig::record`](crate::CpuConfig) asks for them. (SMT
 //!   arbitration allocates two small per-cycle vectors, but only when
 //!   `threads > 1`.)
@@ -102,8 +119,7 @@ use crate::config::{Backend, Countermeasure, CpuConfig};
 use crate::predictor::{self, Predictor};
 use crate::stats::{LoadEvent, RunResult};
 use racer_isa::{
-    AluOp, DataMemory, DecodedInstr, DecodedMem, DecodedOp, DecodedProgram, FuClass, Program,
-    SrcRef, NUM_REGS,
+    AluOp, DataMemory, DecodedInstr, DecodedMem, DecodedOp, FuClass, Program, SrcRef, NUM_REGS,
 };
 use racer_mem::{AccessKind, Addr, Hierarchy, HitLevel};
 use std::cmp::Reverse;
@@ -146,9 +162,9 @@ const NUM_CLASSES: usize = FuClass::COUNT;
 /// One ROB ring slot. Slots are overwritten in place at dispatch; the
 /// `consumers` vector keeps its capacity across reuse, so a warmed-up
 /// pipeline dispatches without touching the allocator. The instruction
-/// itself is *not* stored: `pc` indexes the run's pre-decoded µop table
-/// ([`DecodedProgram`]), which already holds every static fact the stages
-/// need.
+/// itself is *not* stored: `pc` indexes the program's µop table
+/// ([`Program::decoded`]), which already holds every static fact the
+/// stages need.
 #[derive(Clone, Debug)]
 struct Slot {
     seq: Seq,
@@ -529,10 +545,6 @@ pub struct Cpu {
     pub(crate) predictors: Vec<Box<dyn Predictor>>,
     /// One scheduling context per hardware thread, grown on demand.
     pub(crate) ctxs: Vec<ThreadCtx>,
-    /// Reusable µop-table buffers, one per thread: each run decodes the
-    /// programs' static instructions once into them (capacity persists
-    /// across calls).
-    pub(crate) decoded: Vec<Vec<DecodedInstr>>,
 }
 
 impl Cpu {
@@ -549,7 +561,6 @@ impl Cpu {
             hier: Hierarchy::new(hier_cfg),
             mem: DataMemory::new(),
             ctxs: vec![ThreadCtx::default()],
-            decoded: vec![Vec::new()],
         }
     }
 
@@ -599,9 +610,6 @@ impl Cpu {
         }
         while self.ctxs.len() < n {
             self.ctxs.push(ThreadCtx::default());
-        }
-        while self.decoded.len() < n {
-            self.decoded.push(Vec::new());
         }
     }
 
@@ -668,9 +676,8 @@ impl Cpu {
     fn run_event_driven(&mut self, progs: &[&Program]) -> Vec<RunResult> {
         let n = progs.len();
         self.ensure_threads(n);
-        for (tid, prog) in progs.iter().enumerate() {
-            self.ctxs[tid].reset(self.cfg.rob_size);
-            DecodedProgram::decode_into(prog, &mut self.decoded[tid]);
+        for ctx in &mut self.ctxs[..n] {
+            ctx.reset(self.cfg.rob_size);
         }
         SmtRun {
             cfg: self.cfg,
@@ -678,7 +685,6 @@ impl Cpu {
             mem: &mut self.mem,
             predictors: &mut self.predictors[..n],
             progs,
-            decs: &self.decoded[..n],
             ctxs: &mut self.ctxs[..n],
             shared: Shared::new(self.cfg.div_ports, n),
             cycle: 0,
@@ -711,7 +717,6 @@ struct SmtRun<'a> {
     mem: &'a mut DataMemory,
     predictors: &'a mut [Box<dyn Predictor>],
     progs: &'a [&'a Program],
-    decs: &'a [Vec<DecodedInstr>],
     ctxs: &'a mut [ThreadCtx],
     shared: Shared,
     cycle: u64,
@@ -726,7 +731,7 @@ impl SmtRun<'_> {
             mem: self.mem,
             predictor: self.predictors[tid].as_mut(),
             prog: self.progs[tid],
-            dec: &self.decs[tid],
+            dec: self.progs[tid].decoded(),
             s: &mut self.ctxs[tid],
             sh: &mut self.shared,
             cycle: self.cycle,
@@ -845,7 +850,7 @@ struct Pipeline<'a> {
     mem: &'a mut DataMemory,
     predictor: &'a mut dyn Predictor,
     prog: &'a Program,
-    /// Pre-decoded µop table, indexed by pc (parallel to `prog`).
+    /// The program's µop table ([`Program::decoded`]), indexed by pc.
     dec: &'a [DecodedInstr],
     s: &'a mut ThreadCtx,
     sh: &'a mut Shared,
@@ -858,24 +863,29 @@ impl<'a> Pipeline<'a> {
     /// interrupt drain, cycle limit), so the classic path pays no
     /// per-cycle driver cost. Leaves the context's `done`/`end_cycle`/
     /// `limit_hit` set for the shared result assembly.
+    ///
+    /// Each stage reports whether it acted; after a cycle in which none
+    /// did, the loop fast-forwards to [`Pipeline::next_event_cycle`]
+    /// instead of stepping through cycles that would be just as idle.
     fn run_single(&mut self) {
         loop {
-            self.writeback();
-            self.commit();
+            // `|` rather than `||`: every stage runs every cycle.
+            let mut busy = self.writeback() | self.commit();
             if self.s.halted {
                 self.finish(false);
                 return;
             }
             let mut used = [0usize; NUM_CLASSES];
             let mut issued = 0usize;
-            self.issue(&mut used, &mut issued);
-            self.dispatch();
-            self.fetch();
+            busy |= self.issue(&mut used, &mut issued) | self.dispatch() | self.fetch();
             if self.finished() {
                 self.finish(false);
                 return;
             }
             self.cycle += 1;
+            if !busy {
+                self.cycle = self.next_event_cycle();
+            }
             if let Some(interval) = self.cfg.interrupt_interval {
                 if self.cycle.is_multiple_of(interval) && !self.s.draining {
                     self.s.draining = true;
@@ -890,6 +900,67 @@ impl<'a> Pipeline<'a> {
                 return;
             }
         }
+    }
+
+    /// Called after an idle cycle `C` with `self.cycle == C + 1`: the
+    /// earliest cycle `>= C + 1` at which a stage can act, or the
+    /// interrupt/limit bookkeeping can fire. Nothing acted at `C`, so the
+    /// state entering `C + 1` is the state `C` started from, and the
+    /// stages only consult the clock through the predicates below; until
+    /// the first of them flips, every cycle repeats `C` exactly and is
+    /// skipped. The event sources are:
+    ///
+    /// * the next non-empty completion-wheel bucket (a completion);
+    /// * a `far` completion entering the wheel horizon;
+    /// * while the stall pool holds loads: the MSHR wake
+    ///   (`stall_wake_cycle`) and the 64-cycle fallback drain;
+    /// * the fetch-queue front becoming ready to dispatch;
+    /// * a busy divider unit freeing (a ready divide can issue);
+    /// * the next `interrupt_interval` boundary;
+    /// * `max_run_cycles`.
+    ///
+    /// An MSHR freeing needs no source of its own: an outstanding fill
+    /// arrives in the very cycle the load that opened it completes, a
+    /// wheel (or `far`) event. Fills that arrived during skipped cycles
+    /// are pruned from `Shared::inflight` at the next issue pass, before
+    /// anything reads it.
+    ///
+    /// Kept out of line: busy cycles never call it, and the cycle loop
+    /// they run stays as small as before.
+    #[inline(never)]
+    fn next_event_cycle(&self) -> u64 {
+        let from = self.cycle;
+        if self.s.stall_wake_now {
+            return from;
+        }
+        let mut next = self.cfg.max_run_cycles;
+        if let Some(interval) = self.cfg.interrupt_interval.filter(|&i| i > 0) {
+            next = next.min(from.next_multiple_of(interval));
+        }
+        if !self.s.stalled_loads.is_empty() {
+            next = next
+                .min(self.s.stall_wake_cycle)
+                .min(from.next_multiple_of(64));
+        }
+        // A front that is already ready is blocked by window state, which
+        // only an event changes.
+        if let Some(front) = self.s.fetch_q.front().filter(|f| f.ready_cycle >= from) {
+            next = next.min(front.ready_cycle);
+        }
+        for &(comp, _, _) in &self.s.far {
+            next = next.min(comp + 1 - WHEEL as u64);
+        }
+        for &free in &self.sh.div_busy_until {
+            if free >= from {
+                next = next.min(free);
+            }
+        }
+        // Wheel entries complete within `WHEEL` cycles of the idle cycle,
+        // so at most one lap of buckets is scanned.
+        let next = next.max(from);
+        (from..next.min(from + WHEEL as u64))
+            .find(|&c| !self.s.wheel[c as usize & (WHEEL - 1)].is_empty())
+            .unwrap_or(next)
     }
 
     /// Record this context as finished at the current cycle.
@@ -967,8 +1038,10 @@ impl<'a> Pipeline<'a> {
         self.s.ready_mask |= 1 << cls;
     }
 
-    /// Completions, dependency wakeup and branch resolution.
-    fn writeback(&mut self) {
+    /// Completions, dependency wakeup and branch resolution. Returns
+    /// whether anything completed or was re-homed.
+    fn writeback(&mut self) -> bool {
+        let mut busy = false;
         // Re-home far-out completions (DRAM outliers) whose arrival is now
         // inside the wheel horizon.
         if !self.s.far.is_empty() {
@@ -978,6 +1051,7 @@ impl<'a> Pipeline<'a> {
                 if comp - self.cycle < WHEEL as u64 {
                     self.s.far.swap_remove(i);
                     self.s.wheel[comp as usize & (WHEEL - 1)].push((seq, slot));
+                    busy = true;
                 } else {
                     i += 1;
                 }
@@ -990,6 +1064,7 @@ impl<'a> Pipeline<'a> {
             &mut bucket,
             &mut self.s.wheel[self.cycle as usize & (WHEEL - 1)],
         );
+        busy |= !bucket.is_empty();
         for &(seq, slot) in &bucket {
             if !self.s.valid(seq, slot) {
                 continue; // squashed while in flight
@@ -1069,6 +1144,7 @@ impl<'a> Pipeline<'a> {
                 self.mispredict(slot, seq, taken);
             }
         }
+        busy
     }
 
     fn mispredict(&mut self, slot: u32, seq: Seq, taken: bool) {
@@ -1148,8 +1224,10 @@ impl<'a> Pipeline<'a> {
 
     /// In-order retirement. (No commit-time tag broadcast is needed: the
     /// completion-time wakeup resolved every registered consumer, and later
-    /// consumers rename straight to the ready value.)
-    fn commit(&mut self) {
+    /// consumers rename straight to the ready value.) Returns whether
+    /// anything committed.
+    fn commit(&mut self) -> bool {
+        let before = self.s.committed;
         for _ in 0..self.cfg.commit_width {
             if self.s.len == 0 {
                 break;
@@ -1202,7 +1280,7 @@ impl<'a> Pipeline<'a> {
                 }
                 DecodedOp::Halt => {
                     self.s.halted = true;
-                    return;
+                    return true;
                 }
                 _ => {}
             }
@@ -1210,6 +1288,7 @@ impl<'a> Pipeline<'a> {
                 self.s.loads[li as usize].committed = true;
             }
         }
+        self.s.committed != before
     }
 
     /// Data-driven issue to functional units: merge the per-class ready
@@ -1218,11 +1297,11 @@ impl<'a> Pipeline<'a> {
     /// program-order ROB scan would pick. `used` and `issued` are the
     /// per-cycle port and bandwidth budgets, shared across hardware
     /// threads: the driver passes the same counters to every context, in
-    /// arbitration order.
-    fn issue(&mut self, used: &mut [usize; NUM_CLASSES], issued: &mut usize) {
+    /// arbitration order. Returns whether the stall pool woke or any entry
+    /// was attempted (issued or parked).
+    fn issue(&mut self, used: &mut [usize; NUM_CLASSES], issued: &mut usize) -> bool {
         if self.cfg.countermeasure == Countermeasure::InOrder {
-            self.issue_in_order(used, issued);
-            return;
+            return self.issue_in_order(used, issued);
         }
         // Prune arrived fills once per cycle (`now` is constant inside the
         // cycle, so per-attempt pruning was redundant work; with SMT the
@@ -1238,15 +1317,16 @@ impl<'a> Pipeline<'a> {
         // reference scheduler's behavior. A periodic fallback drain bounds
         // staleness as a liveness belt-and-braces — a drained attempt that
         // still fails just goes straight back.
-        if self.s.stall_wake_now
+        let woke = self.s.stall_wake_now
             || now >= self.s.stall_wake_cycle
             || (self.sh.nthreads > 1 && !self.s.stalled_loads.is_empty())
-            || (!self.s.stalled_loads.is_empty() && now.is_multiple_of(64))
-        {
+            || (!self.s.stalled_loads.is_empty() && now.is_multiple_of(64));
+        if woke {
             self.s.stall_wake_now = false;
             self.s.stall_wake_cycle = u64::MAX;
             self.drain_stalled(None);
         }
+        let (issued_before, parked_before) = (*issued, self.s.stalled_loads.len());
         while *issued < self.cfg.issue_width {
             // Pick the oldest ready entry among classes with a free port,
             // visiting only classes whose heap is non-empty.
@@ -1293,6 +1373,7 @@ impl<'a> Pipeline<'a> {
                 self.s.stalled_loads.push((seq, slot));
             }
         }
+        woke || *issued != issued_before || self.s.stalled_loads.len() != parked_before
     }
 
     /// Move stalled loads back into the ready heap. `after = None` drains
@@ -1343,8 +1424,10 @@ impl<'a> Pipeline<'a> {
     /// Strict in-order issue (the `Countermeasure::InOrder` mode): the
     /// oldest unissued instruction must go first; if it cannot, nothing
     /// younger may. `inorder_skip` remembers how much of the window front is
-    /// already issued, so the scan is O(1) amortized.
-    fn issue_in_order(&mut self, used: &mut [usize; NUM_CLASSES], issued: &mut usize) {
+    /// already issued, so the scan is O(1) amortized. Returns whether
+    /// anything issued (a blocked attempt changes nothing).
+    fn issue_in_order(&mut self, used: &mut [usize; NUM_CLASSES], issued: &mut usize) -> bool {
+        let before = *issued;
         // Prune arrived fills once per cycle (mirrors `issue`).
         let now = self.cycle;
         self.sh.inflight.retain(|&(_, done)| done > now);
@@ -1369,6 +1452,7 @@ impl<'a> Pipeline<'a> {
             }
             *issued += 1;
         }
+        *issued != before
     }
 
     /// Does class `cls` still have an issue port this cycle?
@@ -1632,11 +1716,13 @@ impl<'a> Pipeline<'a> {
         true
     }
 
-    /// Rename and dispatch from the fetch queue into the ROB.
-    fn dispatch(&mut self) {
+    /// Rename and dispatch from the fetch queue into the ROB. Returns
+    /// whether anything dispatched.
+    fn dispatch(&mut self) -> bool {
         if self.s.draining {
-            return;
+            return false;
         }
+        let before = self.s.next_seq;
         for _ in 0..self.cfg.dispatch_width {
             if self.s.fence_active.is_some() {
                 break;
@@ -1742,13 +1828,16 @@ impl<'a> Pipeline<'a> {
                 self.ready_push(cls, seq, slot as u32);
             }
         }
+        self.s.next_seq != before
     }
 
-    /// Predicted instruction fetch.
-    fn fetch(&mut self) {
+    /// Predicted instruction fetch. Returns whether anything was fetched
+    /// or fetch stopped.
+    fn fetch(&mut self) -> bool {
         if self.s.draining || self.s.fetch_stopped {
-            return;
+            return false;
         }
+        let before = self.s.fetch_q.len();
         for _ in 0..self.cfg.fetch_width {
             if self.s.fetch_pc >= self.prog.len() {
                 self.s.fetch_stopped = true;
@@ -1786,5 +1875,6 @@ impl<'a> Pipeline<'a> {
             }
             self.s.fetch_pc = next;
         }
+        self.s.fetch_q.len() != before || self.s.fetch_stopped
     }
 }

@@ -17,9 +17,12 @@
 //!   [`Hierarchy`], which shares cache storage in `Arc`-backed chunks and
 //!   only materialises the chunks the fork actually writes (see
 //!   `racer_mem`'s COW docs), so a fork costs O(1) and its private
-//!   footprint grows only with what it touches. Each fork runs to
-//!   completion on the event-driven scheduler and is dropped as soon as
-//!   its result is taken.
+//!   footprint grows only with what it touches. A fork decodes nothing
+//!   either: every run reads the program's own µop table, decoded on the
+//!   program's first run ([`Program::decoded`]), so N forks running one
+//!   program share one table. Each fork runs to completion on the
+//!   event-driven scheduler and is dropped as soon as its result is
+//!   taken.
 //! * **Warm reuse across a process** ([`SnapshotCache`]): scenarios that
 //!   stamp out many machines of one configuration build and warm it once
 //!   per process and fork the cached snapshot thereafter.
@@ -109,7 +112,8 @@ impl Snapshot {
 
     /// Stamp out an independent machine starting from the captured state.
     /// The fork owns its own copies: nothing it does is visible to the
-    /// snapshot or to sibling forks.
+    /// snapshot or to sibling forks. It carries no µop tables: the
+    /// programs it runs bring their own, decoded once per program.
     pub fn fork(&self) -> Cpu {
         Cpu {
             cfg: self.inner.cfg,
@@ -117,7 +121,6 @@ impl Snapshot {
             mem: self.inner.mem.clone(),
             predictors: vec![self.inner.predictor.clone_box()],
             ctxs: vec![ThreadCtx::default()],
-            decoded: vec![Vec::new()],
         }
     }
 

@@ -26,7 +26,7 @@ use crate::config::{Countermeasure, CpuConfig};
 use crate::predictor::Predictor;
 use crate::stats::{LoadEvent, RunResult};
 use racer_isa::{
-    AluOp, DataMemory, DecodedProgram, FuClass, Instr, MemOperand, Program, Reg, NUM_REGS,
+    AluOp, DataMemory, DecodedInstr, FuClass, Instr, MemOperand, Program, Reg, NUM_REGS,
 };
 use racer_mem::{AccessKind, Addr, Hierarchy, HitLevel};
 use std::collections::{HashMap, VecDeque};
@@ -154,11 +154,11 @@ pub(crate) struct RefPipeline<'a> {
     /// event-driven core).
     predictors: &'a mut [Box<dyn Predictor>],
     progs: &'a [&'a Program],
-    /// Pre-decoded µop tables, one per thread (rename reads source lists
-    /// and destinations from them; *execution* deliberately stays on
-    /// [`Instr`] so the differential suite cross-checks the decoder
-    /// against the original instruction forms).
-    decs: Vec<DecodedProgram>,
+    /// Each thread's program's µop table ([`Program::decoded`]; rename
+    /// reads source lists and destinations from it; *execution*
+    /// deliberately stays on [`Instr`] so the differential suite
+    /// cross-checks the decoder against the original instruction forms).
+    decs: Vec<&'a [DecodedInstr]>,
     threads: Vec<RefThread>,
 
     cycle: u64,
@@ -188,7 +188,7 @@ impl<'a> RefPipeline<'a> {
             hier,
             mem,
             predictors,
-            decs: progs.iter().map(|p| DecodedProgram::decode(p)).collect(),
+            decs: progs.iter().map(|p| p.decoded()).collect(),
             threads: progs.iter().map(|_| RefThread::new(cfg.rob_size)).collect(),
             progs,
             cycle: 0,

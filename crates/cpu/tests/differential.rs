@@ -224,8 +224,8 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
 }
 
 /// Run `count` random programs through both [`Backend`]s on a persistent
-/// pair of machines (warm caches + trained predictors accumulate
-/// identically). Every third program wraps its body in a counted
+/// pair of `hier`-configured machines (warm caches + trained predictors
+/// accumulate identically). Every third program wraps its body in a counted
 /// backward-branch loop.
 ///
 /// Each program also runs first on a [`racer_cpu::Snapshot`] fork of the
@@ -233,9 +233,19 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
 /// the event-driven run that follows starts from that same state, so the
 /// two must be bit-identical — which pins fork == parent on every
 /// program, countermeasure and accumulated warm state the suite covers.
-fn run_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
-    let mut fast_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
-    let mut slow_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
+///
+/// Returns the event-driven results, for cases that must show they
+/// reached a particular path.
+fn run_differential(
+    cfg: CpuConfig,
+    hier: HierarchyConfig,
+    seed: u64,
+    count: usize,
+    len: usize,
+) -> Vec<RunResult> {
+    let mut runs = Vec::with_capacity(count);
+    let mut fast_cpu = Cpu::new(cfg, hier);
+    let mut slow_cpu = Cpu::new(cfg, hier);
     let mut rng = Rng(seed);
     for i in 0..count {
         let trips = if i % 3 == 2 {
@@ -258,13 +268,15 @@ fn run_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
             slow_cpu.mem(),
             "{tag}: data memory diverges"
         );
+        runs.push(fast);
     }
+    runs
 }
 
 #[test]
 fn baseline_matches_reference_on_200_random_programs() {
     let cfg = CpuConfig::coffee_lake().with_load_recording();
-    run_differential(cfg, 0xD1FF, 200, 90);
+    run_differential(cfg, HierarchyConfig::coffee_lake(), 0xD1FF, 200, 90);
 }
 
 #[test]
@@ -282,14 +294,20 @@ fn every_countermeasure_matches_reference() {
         let cfg = CpuConfig::coffee_lake()
             .with_countermeasure(cm)
             .with_load_recording();
-        run_differential(cfg, 0xBEEF + i as u64, 40, 70);
+        run_differential(
+            cfg,
+            HierarchyConfig::coffee_lake(),
+            0xBEEF + i as u64,
+            40,
+            70,
+        );
     }
 }
 
 #[test]
 fn full_trace_matches_reference() {
     let cfg = CpuConfig::coffee_lake().with_record_level(RecordLevel::Trace);
-    run_differential(cfg, 0x7ACE, 40, 60);
+    run_differential(cfg, HierarchyConfig::coffee_lake(), 0x7ACE, 40, 60);
 }
 
 #[test]
@@ -301,7 +319,7 @@ fn narrow_window_and_interrupts_match_reference() {
     cfg.rs_size = 8;
     cfg.mshrs = 2;
     cfg.interrupt_interval = Some(150);
-    run_differential(cfg, 0x1177, 60, 80);
+    run_differential(cfg, HierarchyConfig::coffee_lake(), 0x1177, 60, 80);
 
     let mut tiny = CpuConfig::coffee_lake().with_load_recording();
     tiny.issue_width = 2;
@@ -309,12 +327,41 @@ fn narrow_window_and_interrupts_match_reference() {
     tiny.load_ports = 1;
     tiny.dispatch_width = 2;
     tiny.commit_width = 2;
-    run_differential(tiny, 0x2288, 40, 70);
+    run_differential(tiny, HierarchyConfig::coffee_lake(), 0x2288, 40, 70);
 }
 
 #[test]
 fn counters_only_recording_matches_reference() {
     // RecordLevel::Counters must not change timing, only skip event vectors.
     let cfg = CpuConfig::coffee_lake();
-    run_differential(cfg, 0x3399, 40, 90);
+    run_differential(cfg, HierarchyConfig::coffee_lake(), 0x3399, 40, 90);
+}
+
+#[test]
+fn far_completions_and_the_cycle_limit_match_reference() {
+    // 700-cycle DRAM plus up to 90 cycles of jitter puts every miss beyond
+    // the event-driven core's 512-cycle completion wheel, so completions
+    // take the far-list path and long idle stretches end at each kind of
+    // event: a far completion entering the wheel, the cycle limit, an
+    // interrupt boundary, and loads stalled on two MSHRs.
+    let mut hier = HierarchyConfig::coffee_lake();
+    hier.memory_latency = 700;
+    hier.memory_jitter = 90;
+    let cfg = CpuConfig::coffee_lake().with_load_recording();
+    let runs = run_differential(cfg, hier, 0x4A11, 40, 70);
+    assert!(runs.iter().any(|r| r
+        .loads
+        .iter()
+        .any(|l| l.complete_cycle - l.issue_cycle > 512)));
+
+    let mut limited = cfg;
+    limited.max_run_cycles = 777;
+    let runs = run_differential(limited, hier, 0x4A12, 40, 70);
+    assert!(runs.iter().any(|r| r.limit_hit) && runs.iter().any(|r| !r.limit_hit));
+
+    let mut interrupted = cfg;
+    interrupted.interrupt_interval = Some(333);
+    interrupted.mshrs = 2;
+    let runs = run_differential(interrupted, hier, 0x4A13, 40, 70);
+    assert!(runs.iter().any(|r| r.interrupts > 0));
 }

@@ -5,8 +5,14 @@
 //! (dispatch, issue, commit, the interpreter) re-derived the same static
 //! facts millions of times: the functional-unit class, the source-register
 //! list, the destination, the branch target, the memory-operand shape.
-//! [`DecodedProgram::decode`] computes those facts once per *static*
-//! instruction into a dense [`DecodedInstr`] table indexed by pc.
+//! [`DecodedInstr::decode`] computes those facts once per *static*
+//! instruction, and a program's dense table indexed by pc is built once
+//! per program: [`Program::decoded`] decodes on first use and every
+//! consumer — both `racer-cpu` schedulers and the [`interp`](crate::interp)
+//! interpreter — reads that one table, shared by the program's clones, so
+//! re-running or forking a program never decodes it again.
+//! [`DecodedProgram::decode`] builds a fresh, unshared table (for callers
+//! that want to time or inspect decoding itself).
 //!
 //! Two representation choices matter for the hot paths:
 //!
@@ -243,25 +249,21 @@ impl DecodedInstr {
     }
 }
 
-/// A [`Program`] decoded into a dense µop table, indexed by pc.
+/// A [`Program`] decoded into a dense µop table, indexed by pc — a
+/// fresh table of its own. Execution reads the program's shared table
+/// ([`Program::decoded`]) instead.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
     instrs: Vec<DecodedInstr>,
 }
 
 impl DecodedProgram {
-    /// Decode every static instruction of `prog`, once.
+    /// Decode every static instruction of `prog` (always decodes; never
+    /// reads or fills the program's shared table).
     pub fn decode(prog: &Program) -> Self {
         DecodedProgram {
             instrs: prog.instrs().iter().map(DecodedInstr::decode).collect(),
         }
-    }
-
-    /// Decode into `buf`, reusing its capacity (for callers that decode a
-    /// fresh program per run and want an allocation-free steady state).
-    pub fn decode_into(prog: &Program, buf: &mut Vec<DecodedInstr>) {
-        buf.clear();
-        buf.extend(prog.instrs().iter().map(DecodedInstr::decode));
     }
 
     /// The decoded instructions, in program order.
@@ -449,8 +451,11 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
         assert!(matches!(d[2].op, DecodedOp::Halt));
-        let mut buf = Vec::new();
-        DecodedProgram::decode_into(&p, &mut buf);
-        assert_eq!(buf.len(), 3);
+        // The program's shared table holds the same µops.
+        let shared = p.decoded();
+        assert_eq!(shared.len(), 3);
+        for (a, b) in d.instrs().iter().zip(shared) {
+            assert_eq!((a.op, a.cls, a.dst), (b.op, b.cls, b.dst));
+        }
     }
 }

@@ -7,11 +7,12 @@
 //! — speculation may only change *timing and cache state*, never results.
 //! That invariant is enforced by differential tests.
 //!
-//! The dispatch loop indexes a [`DecodedProgram`] µop table (decoded once
-//! up front) rather than re-matching [`Instr`](crate::Instr) per dynamic
-//! step; operands are read through the decode-time slot mapping.
+//! The dispatch loop indexes the program's shared µop table
+//! ([`Program::decoded`], decoded once per program) rather than
+//! re-matching [`Instr`](crate::Instr) per dynamic step; operands are read
+//! through the decode-time slot mapping.
 
-use crate::decode::{DecodedOp, DecodedProgram, SrcRef};
+use crate::decode::{DecodedOp, SrcRef};
 use crate::mem::DataMemory;
 use crate::program::Program;
 use crate::reg::NUM_REGS;
@@ -92,7 +93,7 @@ pub fn run(
     mem: &mut DataMemory,
     max_steps: u64,
 ) -> Result<InterpResult, InterpError> {
-    let decoded = DecodedProgram::decode(prog);
+    let decoded = prog.decoded();
     let mut regs = vec![0u64; NUM_REGS];
     let mut trace = Vec::new();
     let mut pc = 0usize;

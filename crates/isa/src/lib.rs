@@ -9,11 +9,11 @@
 //!
 //! * [`Instr`] / [`AluOp`] / [`Cond`] — the instruction forms;
 //! * [`Program`] — a validated instruction sequence with resolved branch
-//!   targets;
-//! * [`decode`] — pre-decoded µop tables ([`DecodedProgram`]): the static
-//!   facts (FU class, source list, destination, slot-mapped operands) every
-//!   hot consumer used to re-derive per dynamic instruction, computed once
-//!   per static instruction;
+//!   targets, owning its µop table ([`Program::decoded`]);
+//! * [`decode`] — pre-decoded µops ([`DecodedInstr`]): the static facts
+//!   (FU class, source list, destination, slot-mapped operands) every hot
+//!   consumer used to re-derive per dynamic instruction, computed once per
+//!   static instruction and once per program;
 //! * [`Asm`] — a builder/assembler DSL with labels and a fresh-register
 //!   allocator, used by `hacky-racers` to generate gadget code;
 //! * [`deps`] — register dataflow analysis (the paper's §4 *chains* and

@@ -1,8 +1,10 @@
 //! Validated instruction sequences.
 
+use crate::decode::DecodedInstr;
 use crate::instr::Instr;
 use crate::reg::NUM_REGS;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A label handle returned by [`Asm::fwd_label`](crate::Asm::fwd_label) before its
 /// position is known.
@@ -48,9 +50,15 @@ impl std::error::Error for ProgramError {}
 ///
 /// Build one with the [`Asm`](crate::Asm) assembler, or from raw
 /// instructions via [`Program::from_instrs`].
-#[derive(Clone, Debug, Eq, PartialEq)]
+///
+/// A program owns its µop table ([`Program::decoded`]): built on first
+/// use, once, and shared by every clone made after that — however many
+/// runs, forks and host threads execute it. Equality and `Debug` look at
+/// the instructions only, never at whether the table has been built.
+#[derive(Clone)]
 pub struct Program {
     instrs: Vec<Instr>,
+    decoded: OnceLock<Arc<[DecodedInstr]>>,
 }
 
 impl Program {
@@ -78,7 +86,10 @@ impl Program {
                 debug_assert!(d.index() < NUM_REGS);
             }
         }
-        Ok(Program { instrs })
+        Ok(Program {
+            instrs,
+            decoded: OnceLock::new(),
+        })
     }
 
     /// The instructions, in program order.
@@ -101,6 +112,14 @@ impl Program {
         self.instrs.get(pc)
     }
 
+    /// The µop table, indexed by pc (parallel to [`Program::instrs`]).
+    /// Decoded on the first call; every later call, on this program or
+    /// on any clone made after it, returns the same table.
+    pub fn decoded(&self) -> &[DecodedInstr] {
+        self.decoded
+            .get_or_init(|| self.instrs.iter().map(DecodedInstr::decode).collect())
+    }
+
     /// A human-readable listing with instruction indices.
     pub fn listing(&self) -> String {
         use std::fmt::Write as _;
@@ -109,6 +128,25 @@ impl Program {
             let _ = writeln!(s, "{i:5}: {instr}");
         }
         s
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.instrs == other.instrs
+    }
+}
+
+impl Eq for Program {}
+
+/// Prints what a derived `Debug` would if the µop table were not there:
+/// the snapshot cache fingerprints its keys through `Debug`, so the
+/// rendering must not depend on whether the table has been built.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("instrs", &self.instrs)
+            .finish()
     }
 }
 
@@ -156,6 +194,35 @@ mod tests {
         assert!(matches!(p.get(1), Some(Instr::Halt)));
         assert!(p.get(2).is_none());
         assert!(p.listing().contains("halt"));
+    }
+
+    fn two_instrs() -> Program {
+        Program::from_instrs(vec![Instr::Nop, Instr::Halt]).unwrap()
+    }
+
+    #[test]
+    fn clones_share_one_decoded_table() {
+        let p = two_instrs();
+        let table = p.decoded().as_ptr();
+        let q = p.clone();
+        assert_eq!(q.decoded().as_ptr(), table, "a clone must not re-decode");
+        assert_eq!(
+            p.decoded().as_ptr(),
+            table,
+            "a second call must not re-decode"
+        );
+        assert_eq!(q.decoded().len(), 2);
+    }
+
+    #[test]
+    fn eq_and_debug_ignore_the_decoded_table() {
+        let cold = two_instrs();
+        let warm = two_instrs();
+        let _ = warm.decoded();
+        assert_eq!(cold, warm);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        assert_eq!(format!("{cold:#?}"), format!("{warm:#?}"));
+        assert!(!format!("{warm:?}").contains("decoded"));
     }
 
     #[test]
